@@ -52,13 +52,17 @@ class UsageError(Exception):
     pass
 
 
-def parse_weight(text: str) -> Weight:
+def parse_weight(text: str, rank: int) -> Weight:
     if text in ("generic", "", None):
         return Weight.generic()
     try:
-        return Weight.concrete([Fraction(part) for part in text.split(",")])
+        coords = [Fraction(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad weight {text!r}: {exc}") from exc
+    if len(coords) != rank:
+        raise UsageError(f"bad weight {text!r}: needs {rank} coordinates, "
+                         f"one per simple root")
+    return Weight.concrete(coords)
 
 
 def parse_seq(text: str) -> tuple[int, ...]:
@@ -149,8 +153,8 @@ def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
 def cmd_verify(args) -> int:
     datum = load_algebra(args)
     depth = check_depth(args.depth, args.force_depth)
-    weight1 = parse_weight(args.weight)
-    weight2 = parse_weight(args.weight2)
+    weight1 = parse_weight(args.weight, datum.rank)
+    weight2 = parse_weight(args.weight2, datum.rank)
     faults = build_faults(args.inject_fault)
 
     reports: list[VerificationReport] = []
@@ -176,7 +180,7 @@ def cmd_verify(args) -> int:
 def cmd_act(args) -> int:
     datum = load_algebra(args)
     depth = check_depth(args.depth, args.force_depth)
-    weight = parse_weight(args.weight)
+    weight = parse_weight(args.weight, datum.rank)
     try:
         word = parse_word(args.word)
     except ValueError as exc:
@@ -214,7 +218,7 @@ def cmd_serre_scan(args) -> int:
         raise UsageError(
             f"total degree {sum(multidegree)} exceeds {MAX_DEPTH}; "
             f"pass --force-depth if you mean it")
-    weight = parse_weight(args.weight)
+    weight = parse_weight(args.weight, datum.rank)
     faults = build_faults(args.inject_fault)
     result = singular_scan(datum, multidegree, weight=weight, faults=faults)
     payload = result.to_json()
@@ -224,7 +228,7 @@ def cmd_serre_scan(args) -> int:
             datum, multidegree, faults=faults)
         specs = []
         for wtext in args.specialize:
-            w = parse_weight(wtext)
+            w = parse_weight(wtext, datum.rank)
             if w.is_generic:
                 raise UsageError("--specialize takes concrete weights")
             spec = specialize_scan(generic, datum, w)
@@ -239,7 +243,8 @@ def cmd_serre_scan(args) -> int:
 
 def cmd_braid(args) -> int:
     datum = load_algebra(args)
-    w1, w2 = parse_weight(args.weight1), parse_weight(args.weight2)
+    w1 = parse_weight(args.weight1, datum.rank)
+    w2 = parse_weight(args.weight2, datum.rank)
     if w1.is_generic or w2.is_generic:
         raise UsageError("braid needs two concrete weights")
     s1, s2 = parse_seq(args.seq1), parse_seq(args.seq2)
@@ -296,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     add_common(p)
-    p.add_argument("--suite", choices=("relations", "coproduct", "hopf", "all"),
+    p.add_argument("--suite", choices=("relations", "coproduct", "hopf",
+                                       "hopf-axioms", "all"),
                    default="all")
     p.add_argument("--weight", default="generic",
                    help="'generic' or comma-separated root-basis coordinates")

@@ -692,7 +692,7 @@ def run_suite(suite: str, datum: RootDatum, depth: int,
         reports.append(verify_relations(datum, depth, weight1, faults))
     if suite in ("coproduct", "all"):
         reports.append(verify_coproduct(datum, depth, weight1, weight2, faults))
-    if suite in ("hopf", "all"):
+    if suite in ("hopf", "hopf-axioms", "all"):
         reports.append(verify_hopf_axioms(datum, depth, weight1, faults))
     if not reports:
         raise ValueError(f"unknown suite {suite!r}")

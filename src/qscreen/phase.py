@@ -75,6 +75,63 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
     return _strip(out)
 
 
+def _pdiv_exact(n: Poly, d: Poly) -> Poly:
+    """The quotient n / d, for a sum d that divides n; ValueError otherwise.
+
+    Long division from the leading (`term_order`-least) terms: each quotient
+    term cancels the remainder's leading term, so quotient terms rise
+    strictly.  Because `term_order` is not a well-order, the loop needs a
+    stop bound.  An exact quotient ends at HT(n)/HT(d), the ratio of the
+    highest terms, and each of its exponents lies between the per-variable
+    extremes of n less those of d.  A quotient term past either bound
+    proves that d does not divide n.  The exponent box is what makes the
+    loop finite in several variables, where lex order alone is not: the
+    quotient terms 1, z2, z2^2, ... of (1 - z1)/(1 - z2) never pass
+    HT(n)/HT(d) = z1·z2^-1.
+    """
+    if not d:
+        raise ZeroDivisionError("exact division by the zero sum")
+    if len(d) == 1:
+        return _pdiv_term(n, *next(iter(d.items())))
+    if not n:
+        return {}
+    lead = min(d, key=term_order)
+    lead_c = d[lead]
+    stop = term_order(_key_quotient(max(n, key=term_order),
+                                    max(d, key=term_order)))
+    n_exps = [(a,) + m for a, m in n]
+    d_exps = [(a,) + m for a, m in d]
+    lo = [min(e) - min(f) for e, f in zip(zip(*n_exps), zip(*d_exps))]
+    hi = [max(e) - max(f) for e, f in zip(zip(*n_exps), zip(*d_exps))]
+    rem = dict(n)
+    out: Poly = {}
+    while rem:
+        low = min(rem, key=term_order)
+        key = _key_quotient(low, lead)
+        a, m = key
+        if (term_order(key) > stop
+                or not all(l <= e <= h for l, e, h in zip(lo, (a,) + m, hi))):
+            raise ValueError("exact division: the divisor does not divide")
+        c = rem[low] / lead_c
+        out[key] = c
+        for k, dc in d.items():
+            k = _key_product(key, k)
+            v = rem.get(k, 0) - c * dc
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return out
+
+
+def _key_product(k1: Key, k2: Key) -> Key:
+    return (k1[0] + k2[0], tuple(x + y for x, y in zip(k1[1], k2[1])))
+
+
+def _key_quotient(k1: Key, k2: Key) -> Key:
+    return (k1[0] - k2[0], tuple(x - y for x, y in zip(k1[1], k2[1])))
+
+
 def _pdiv_term(p: Poly, key: Key, coeff: Fraction) -> Poly:
     """Divide a sum by the single monomial coeff*key (always exact)."""
     a0, m0 = key
@@ -262,18 +319,6 @@ class PhaseScalar:
         out.den = _pdiv_term(self.den, lead, coeff)
         out.arity = self.arity
         return out
-
-    def leading_unit(self) -> "PhaseScalar":
-        """The leading numerator term as a standalone monomial.
-
-        Dividing by it rescales a value by a unit; linear solvers use this to
-        strip common monomial/rational factors from whole rows.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("zero scalar has no leading unit")
-        key = min(self.num, key=term_order)
-        a, m = key
-        return PhaseScalar.monomial(self.num[key], a, m, self.arity)
 
     # ---- substitution ----
 

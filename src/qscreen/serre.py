@@ -14,14 +14,18 @@ weight — a quantized Serre-type relation made visible inside the module.  At
 a concrete weight the kernel can jump: those are honest weight-specific
 singular vectors.
 
-The kernel is computed by fraction-free elimination (pivot row times current
-row minus the cross term), which keeps every intermediate entry a Laurent
-polynomial; divisions happen only in the final back-substitution and in the
-normalization that makes each basis vector's first nonzero coefficient 1.
-No polynomial gcd is ever taken, so reported coefficients may carry a common
-factor such as (1 - z1^2); equality tests and specializations treat that
-correctly, and a specialization that lands on the zero denominator raises
-DenominatorVanishesError rather than guessing.
+The kernel is computed by fraction-free Gauss-Jordan elimination (Bareiss):
+each step multiplies a row by the pivot, subtracts the cross term and divides
+exactly by the previous pivot.  Every entry stays a Laurent polynomial, and
+after the last step every pivot equals the same minor D, so each kernel
+vector comes out polynomial.  It is reported as v_k / v_lead, with the lead
+coordinate the literal 1.  No polynomial gcd is ever taken, and v_lead is
+never cancelled against the other coordinates by trial division: it is a
+minor of the matrix, and its zeros mark weights where the generic
+elimination breaks down (for sl3 at multidegree (2,1) it carries the factor
+1 - z1^2, which vanishes at weight 1,2).  Equality tests and specializations
+treat the un-cancelled factor correctly, and a specialization that lands on
+it raises DenominatorVanishesError rather than guessing.
 """
 
 from __future__ import annotations
@@ -39,7 +43,14 @@ from .contour import (
     render_vector,
     vec_is_zero,
 )
-from .phase import DenominatorVanishesError, PhaseScalar
+from .phase import (
+    DenominatorVanishesError,
+    PhaseScalar,
+    _padd,
+    _pdiv_exact,
+    _pmul,
+    _pneg,
+)
 from .rootdata import RootDatum, Weight
 
 
@@ -68,46 +79,60 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
               arity: int) -> list[list[PhaseScalar]]:
     """Exact kernel basis of the matrix, one vector per free column.
 
-    Elimination is fraction-free; each returned vector is scaled so that its
-    first nonzero coordinate is exactly 1.
+    Fraction-free Gauss-Jordan (Bareiss) over Laurent polynomials; every
+    entry must be one, as `apply_raising_hat(..., clear_denominator=True)`
+    makes them.  For pivot (r, c) with previous pivot p, every other row i
+    becomes (R[r][c]·R[i][k] - R[i][c]·R[r][k]) / p, an exact division;
+    entries stay polynomial and all pivots equal one minor D.  The kernel
+    vector of free column f holds D at f and -R[row][f] at each pivot
+    column.  It is returned as v_k / v_lead, the lead coordinate set to the
+    literal one.  No gcd is taken and v_lead is never trial-divided out of
+    the quotients: it is a minor (D, or a cofactor in a pivot column), and
+    the weights where it vanishes are the ones specialization must report
+    as `denominator-vanishes` rather than evaluate.
     """
-    rows = [list(r) for r in rows if not all(e.is_zero() for e in r)]
+    one = PhaseScalar.one(arity).num
+    if any(e.den != one for row in rows for e in row):
+        raise ValueError("nullspace needs Laurent-polynomial entries")
+    matrix = [[e.num for e in row] for row in rows]
+    matrix = [row for row in matrix if any(row)]
     pivots: list[tuple[int, int]] = []  # (row position, column)
+    prev = one
     r = 0
     for c in range(ncols):
-        cand = [i for i in range(r, len(rows)) if not rows[i][c].is_zero()]
+        cand = [i for i in range(r, len(matrix)) if matrix[i][c]]
         if not cand:
             continue
         # favor the sparsest pivot row to slow coefficient growth
-        best = min(cand, key=lambda i: sum(len(e.num) for e in rows[i]))
-        rows[r], rows[best] = rows[best], rows[r]
-        pivot = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                new_row = [pivot * rows[i][k] - f * rows[r][k]
-                           for k in range(ncols)]
-                # strip the common leading unit to slow coefficient growth
-                unit = next((e.leading_unit() for e in new_row
-                             if not e.is_zero()), None)
-                if unit is not None:
-                    new_row = [e / unit for e in new_row]
-                rows[i] = new_row
+        best = min(cand, key=lambda i: sum(len(e) for e in matrix[i]))
+        matrix[r], matrix[best] = matrix[best], matrix[r]
+        pivot_row = matrix[r]
+        pivot = pivot_row[c]
+        for i, row in enumerate(matrix):
+            if i != r:
+                f = row[c]
+                matrix[i] = [
+                    _pdiv_exact(_padd(_pmul(pivot, x), _pneg(_pmul(f, y))),
+                                prev) if x or (f and y) else {}
+                    for x, y in zip(row, pivot_row)]
+        prev = pivot
         pivots.append((r, c))
         r += 1
 
+    # every pivot now equals prev, the minor D
     pivot_cols = {c for _, c in pivots}
     basis: list[list[PhaseScalar]] = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        vec = [PhaseScalar.zero(arity) for _ in range(ncols)]
-        vec[free] = PhaseScalar.one(arity)
+        vec = [{} for _ in range(ncols)]
+        vec[free] = prev
         for rp, pc in pivots:
-            if not rows[rp][free].is_zero():
-                vec[pc] = -rows[rp][free] / rows[rp][pc]
-        lead = next(x for x in vec if not x.is_zero())
-        basis.append([x / lead for x in vec])
+            vec[pc] = _pneg(matrix[rp][free])
+        lead = next(k for k, x in enumerate(vec) if x)
+        basis.append([PhaseScalar.one(arity) if k == lead
+                      else PhaseScalar(x, vec[lead], arity)
+                      for k, x in enumerate(vec)])
     return basis
 
 

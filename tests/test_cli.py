@@ -194,3 +194,54 @@ def test_malformed_config_contents(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "symmetric" in err
+
+
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, argv
+    assert out == ""
+    assert err.startswith("error:"), argv
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", ["1", "1,2,3"])
+def test_verify_rejects_weight_of_wrong_length(capsys, weight):
+    assert_usage_error(capsys, "verify", "--algebra", "sl3", "--suite",
+                       "relations", "--depth", "2", "--weight", weight)
+    assert_usage_error(capsys, "verify", "--algebra", "sl3", "--suite",
+                       "coproduct", "--depth", "2", "--weight2", weight)
+
+
+@pytest.mark.parametrize("weight", ["1", "1,2,3"])
+def test_act_rejects_weight_of_wrong_length(capsys, weight):
+    assert_usage_error(capsys, "act", "--algebra", "sl3", "--word", "E1 F1",
+                       "--weight", weight)
+
+
+@pytest.mark.parametrize("weight", ["1", "1,2,3"])
+def test_serre_scan_rejects_weight_of_wrong_length(capsys, weight):
+    assert_usage_error(capsys, "serre-scan", "--algebra", "sl3",
+                       "--multidegree", "2,1", "--weight", weight)
+    assert_usage_error(capsys, "serre-scan", "--algebra", "sl3",
+                       "--multidegree", "2,1", "--specialize", weight)
+
+
+@pytest.mark.parametrize("weight", ["1", "1,2,3"])
+def test_braid_rejects_weight_of_wrong_length(capsys, weight):
+    # a one-coordinate sl3 weight used to print a wrong `phase = 1`, exit 0
+    assert_usage_error(capsys, "braid", "--algebra", "sl3",
+                       "--weight1", weight, "--weight2", "1,2")
+    assert_usage_error(capsys, "braid", "--algebra", "sl3",
+                       "--weight1", "1,2", "--weight2", weight)
+
+
+def test_verify_accepts_hopf_axioms_suite_name(capsys):
+    code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",
+                       "hopf-axioms", "--depth", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [rep["suite"] for rep in payload["reports"]] == ["hopf-axioms"]
+    code, alias, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",
+                         "hopf", "--depth", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(alias) == payload

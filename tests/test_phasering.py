@@ -1,5 +1,6 @@
 """Tests for the exact phase-scalar field."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from qscreen.phase import (
     ArityMismatchError,
     DenominatorVanishesError,
     PhaseScalar,
+    _padd,
+    _pdiv_exact,
+    _pmul,
     q_number,
     q_power,
     z_power,
@@ -208,3 +212,74 @@ def test_q_number_telescopes(a, e):
 def test_arity_two_field(a, b):
     assert a * b == b * a
     assert (a + b) - b == a
+
+
+# ---- exact division of sums ----
+
+def _sum(*terms):
+    """A raw sum from (coeff, q-exponent, z-exponents) triples."""
+    return _padd({}, {(Fraction(a), tuple(m)): Fraction(c) for c, a, m in terms})
+
+
+def test_exact_division_known_quotients():
+    # (q^2 - q^-2) / (q - q^-1) = q + q^-1
+    assert _pdiv_exact(_sum((1, 2, ()), (-1, -2, ())),
+                       _sum((1, 1, ()), (-1, -1, ()))) == _sum((1, 1, ()), (1, -1, ()))
+    # (1 - z1^2) / (1 + z1) = 1 - z1
+    assert _pdiv_exact(_sum((1, 0, (0,)), (-1, 0, (2,))),
+                       _sum((1, 0, (0,)), (1, 0, (1,)))) == _sum((1, 0, (0,)), (-1, 0, (1,)))
+    assert _pdiv_exact({}, _sum((1, 0, ()), (1, 1, ()))) == {}
+    with pytest.raises(ZeroDivisionError):
+        _pdiv_exact(_sum((1, 0, ())), {})
+
+
+def _divide_or_time_out(n, d, seconds=1.0):
+    """`_pdiv_exact` under an alarm: a division that never stops fails the
+    test with TimeoutError instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("exact division did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return _pdiv_exact(n, d)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_division_stops_on_infinite_series():
+    # 1 / (1 - q) and (1 - z1) / (1 - z2) only expand as infinite series; the
+    # second never passes HT(n)/HT(d) in lex order and needs the exponent box
+    with pytest.raises(ValueError):
+        _divide_or_time_out(_sum((1, 0, ())), _sum((1, 0, ()), (-1, 1, ())))
+    with pytest.raises(ValueError):
+        _divide_or_time_out(_sum((1, 0, (0, 0)), (-1, 0, (1, 0))),
+                            _sum((1, 0, (0, 0)), (-1, 0, (0, 1))))
+
+
+def _raw_sums(arity, min_size=1):
+    key = st.tuples(st.integers(-6, 6).map(lambda n: Fraction(n, 2)),
+                    st.tuples(*[small_ints] * arity))
+    coeff = st.fractions(min_value=-4, max_value=4,
+                         max_denominator=3).filter(lambda f: f != 0)
+    return st.dictionaries(key, coeff, min_size=min_size, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(_raw_sums(n), _raw_sums(n))))
+def test_exact_division_inverts_multiplication(pair):
+    a, b = pair
+    assert _pdiv_exact(_pmul(a, b), b) == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    _raw_sums(n, min_size=0), _raw_sums(n, min_size=2), _raw_sums(n).map(
+        lambda p: dict([next(iter(p.items()))])))))
+def test_exact_division_rejects_non_multiples(triple):
+    # a sum with two or more terms divides no monomial, so a·b + t is not a
+    # multiple of b for a single term t
+    a, b, t = triple
+    with pytest.raises(ValueError):
+        _divide_or_time_out(_padd(_pmul(a, b), t), b)
