@@ -40,7 +40,7 @@ from .hopf import (
     run_suite,
     verify_relations,
 )
-from .rootdata import ConfigError, RootDatum, Weight, datum_from_config, resolve_algebra
+from .rootdata import ConfigError, RootDatum, Weight, resolve_algebra
 from .serre import singular_scan, specialize_scan
 from .phase import DenominatorVanishesError
 
@@ -114,35 +114,27 @@ def emit(payload, args, text_form: str) -> None:
         print(out)
 
 
-def _relation_chunk(payload):
+def _relation_chunk(payload) -> list[IdentityRecord]:
     """Worker for --workers: verify one chunk of relation identities."""
-    config, names, depth, coords, fault_flags = payload
-    datum = datum_from_config(config)
-    weight = Weight.generic() if coords is None else Weight.concrete(coords)
-    faults = FaultInjection(*fault_flags)
+    datum, names, depth, weight, faults = payload
     wanted = set(names)
     report = verify_relations(datum, depth, weight, faults,
                               identity_filter=lambda n: n in wanted)
-    return [rec.to_json() for rec in report.records]
+    return report.records
 
 
 def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
                        faults: FaultInjection, workers: int) -> VerificationReport:
-    from .rootdata import datum_to_config
-
+    """The relation suite, sharded over at most one process per relation."""
     names = [name for name, _ in defining_relations(datum, 0)]
-    chunks = [names[k::workers] for k in range(workers) if names[k::workers]]
-    coords = None if weight.is_generic else weight.coords
-    flags = (faults.drop_hat_parity, faults.drop_interchange_sign,
-             faults.flip_raising_prefactor)
-    config = datum_to_config(datum)
-    payloads = [(config, chunk, depth, coords, flags) for chunk in chunks]
+    n = min(workers, len(names))
+    chunks = [names[k::n] for k in range(n)]
+    # The frozen dataclasses pickle as they are.
+    payloads = [(datum, chunk, depth, weight, faults) for chunk in chunks]
     records: dict[str, IdentityRecord] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         for result in pool.map(_relation_chunk, payloads):
-            for rec in result:
-                records[rec["identity"]] = IdentityRecord(
-                    rec["identity"], rec["status"], rec["counterexample"])
+            records.update((rec.identity, rec) for rec in result)
     report = VerificationReport("relations", datum.name or "custom", depth,
                                 "generic" if weight.is_generic else
                                 ",".join(str(c) for c in weight.coords))
@@ -156,6 +148,8 @@ def cmd_verify(args) -> int:
     weight1 = parse_weight(args.weight, datum.rank)
     weight2 = parse_weight(args.weight2, datum.rank)
     faults = build_faults(args.inject_fault)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
     reports: list[VerificationReport] = []
     if args.workers > 1 and args.suite in ("relations", "all"):
@@ -309,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight2", default="generic",
                    help="weight of the second tensor factor")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallelize the relation sweep over this many processes")
+                   help="parallelize the relation sweep over up to this many "
+                        "processes, at most one per relation (>= 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("act", help="apply a generator word to a state")

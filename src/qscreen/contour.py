@@ -25,12 +25,22 @@ whose sign keeps track of odd contours passing odd contours.
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.
+
+`apply_letter` (and so `apply_word`) memoizes the image of each basis state
+under E_j and K_j^{+-1} in the context it acts in.  The memo lives and dies
+with that one `ModuleContext` instance, whose fields (weight, depth, faults)
+fix every image; it holds at most one image per (letter, state), that is
+letters times the depth-capped basis.  F_j is not memoized: it is a plain
+prepend, cheaper than a lookup, and it must raise `DepthExceededError` on
+every overflow.  `apply_raising_hat` and `apply_raising` stay uncached, so
+the scanner and the closed-form coproduct check never read the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Hashable, Iterable
 
 from .phase import PhaseScalar, q_power, z_power
 from .rootdata import RootDatum, Weight
@@ -87,6 +97,9 @@ class ModuleContext:
     arity: int = -1  # -1: use the rank
     z_offset: int = 0
     faults: FaultInjection = NO_FAULTS
+    # (letter, seq) -> image of the unit state; see the module docstring.
+    _images: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     def __post_init__(self):
         if self.arity == -1:
@@ -136,16 +149,27 @@ def seq_parity(datum: RootDatum, seq: Seq) -> int:
     return sum(datum.parity(i) for i in seq) % 2
 
 
-def vec_add(v1: Vector, v2: Vector) -> Vector:
-    out = dict(v1)
-    for seq, c in v2.items():
-        s = out.get(seq)
-        c = c if s is None else s + c
+def accumulate(out: dict, terms: Iterable[tuple[Hashable, PhaseScalar]]) -> dict:
+    """Add (key, coefficient) terms into the sparse dict `out`, in place.
+
+    Entries that cancel to zero are dropped, so no zero is ever stored.
+    Returns `out`.
+    """
+    for k, c in terms:
         if c.is_zero():
-            out.pop(seq, None)
-        else:
-            out[seq] = c
+            continue
+        s = out.get(k)
+        if s is not None:
+            c = s + c
+            if c.is_zero():
+                del out[k]
+                continue
+        out[k] = c
     return out
+
+
+def vec_add(v1: Vector, v2: Vector) -> Vector:
+    return accumulate(dict(v1), v2.items())
 
 
 def vec_scale(c: PhaseScalar, v: Vector) -> Vector:
@@ -207,15 +231,7 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
                 inner = sum((ctx.datum.pair(j, ip) for ip in seq[l + 1:]),
                             Fraction(0))
                 bracket = (1 - ctx.q(2 * inner) * ctx.z(j, 2)) / denom
-                coeff = c * crossing * bracket
-                if not coeff.is_zero():
-                    reduced = seq[:l] + seq[l + 1:]
-                    prev = out.get(reduced)
-                    total = coeff if prev is None else prev + coeff
-                    if total.is_zero():
-                        out.pop(reduced, None)
-                    else:
-                        out[reduced] = total
+                accumulate(out, [(seq[:l] + seq[l + 1:], c * crossing * bracket)])
             crossing = crossing * ctx.crossing_factor(j, i)
     return out
 
@@ -225,15 +241,28 @@ def apply_raising(ctx: ModuleContext, j: int, v: Vector) -> Vector:
     return apply_cartan(ctx, j, apply_raising_hat(ctx, j, v))
 
 
+def _image(ctx: ModuleContext, letter: Letter, seq: Seq) -> Vector:
+    """The image of the unit state at seq under E_j or K_j^{+-1}, memoized."""
+    image = ctx._images.get((letter, seq))
+    if image is None:
+        unit = {seq: PhaseScalar.one(ctx.arity)}
+        if letter[0] == "E":
+            image = apply_raising(ctx, letter[1], unit)
+        else:
+            image = apply_cartan(ctx, letter[1], unit, sign=letter[2])
+        ctx._images[(letter, seq)] = image
+    return image
+
+
 def apply_letter(ctx: ModuleContext, letter: Letter, v: Vector) -> Vector:
     kind = letter[0]
     if kind == "F":
         return apply_lowering(ctx, letter[1], v)
-    if kind == "E":
-        return apply_raising(ctx, letter[1], v)
-    if kind == "K":
-        return apply_cartan(ctx, letter[1], v, sign=letter[2])
-    raise ValueError(f"unknown generator letter {letter!r}")
+    if kind not in ("E", "K"):
+        raise ValueError(f"unknown generator letter {letter!r}")
+    # A fresh dict of fresh scalars: a memoized image is never handed out.
+    return accumulate({}, ((t, c * x) for seq, c in v.items()
+                           for t, x in _image(ctx, letter, seq).items()))
 
 
 def apply_word(ctx: ModuleContext, word: Word, v: Vector) -> Vector:

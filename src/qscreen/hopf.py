@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -38,6 +39,7 @@ from .contour import (
     Seq,
     Vector,
     Word,
+    accumulate,
     apply_lowering,
     apply_word,
     letter_parity,
@@ -62,19 +64,13 @@ TensorElement = dict[tuple[Word, Word], PhaseScalar]
 TensorVector = dict[tuple[Seq, Seq], PhaseScalar]
 
 
+# Algebra elements and tensor-module vectors are sparse dicts like module
+# vectors, so the module-vector sums serve them too.
+elem_add = vec_add
+tvec_is_zero, tvec_eq = vec_is_zero, vec_eq
+
+
 # ---- algebra elements ----
-
-def elem_add(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    out = dict(e1)
-    for w, c in e2.items():
-        s = out.get(w)
-        c = c if s is None else s + c
-        if c.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = c
-    return out
-
 
 def elem_scale(c: PhaseScalar, e: AlgebraElement) -> AlgebraElement:
     if c.is_zero():
@@ -83,56 +79,25 @@ def elem_scale(c: PhaseScalar, e: AlgebraElement) -> AlgebraElement:
 
 
 def elem_mul(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
-    out: AlgebraElement = {}
-    for w1, c1 in e1.items():
-        for w2, c2 in e2.items():
-            w = w1 + w2
-            c = c1 * c2
-            s = out.get(w)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = c
-    return out
+    return accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in e1.items()
+                           for w2, c2 in e2.items()))
 
 
 def act_algebra(ctx: ModuleContext, e: AlgebraElement, v: Vector) -> Vector:
     out: Vector = {}
     for word, coeff in e.items():
-        out = vec_add(out, vec_scale(coeff, apply_word(ctx, word, v)))
+        accumulate(out, ((s, coeff * c) for s, c in apply_word(ctx, word, v).items()))
     return out
 
 
 # ---- tensor elements ----
 
-def tensor_add(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    out = dict(t1)
-    for k, c in t2.items():
-        s = out.get(k)
-        c = c if s is None else s + c
-        if c.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = c
-    return out
-
-
 def tensor_mul(datum: RootDatum, t1: TensorElement, t2: TensorElement) -> TensorElement:
-    out: TensorElement = {}
-    for (a, b), c1 in t1.items():
-        pb = word_parity(datum, b)
-        for (c, d), c2 in t2.items():
-            sign = -1 if pb and word_parity(datum, c) else 1
-            k = (a + c, b + d)
-            coeff = sign * c1 * c2
-            s = out.get(k)
-            coeff = coeff if s is None else s + coeff
-            if coeff.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = coeff
-    return out
+    """Super product: (a (x) b)(c (x) d) = (-1)^{p(b) p(c)} ac (x) bd."""
+    return accumulate({}, (
+        ((a + c, b + d),
+         (-1 if word_parity(datum, b) and word_parity(datum, c) else 1) * c1 * c2)
+        for (a, b), c1 in t1.items() for (c, d), c2 in t2.items()))
 
 
 # ---- structure maps on generators ----
@@ -160,7 +125,7 @@ def coproduct_element(datum: RootDatum, e: AlgebraElement, arity: int) -> Tensor
     out: TensorElement = {}
     for word, coeff in e.items():
         piece = coproduct_word(datum, word, arity)
-        out = tensor_add(out, {k: coeff * c for k, c in piece.items()})
+        accumulate(out, ((k, coeff * c) for k, c in piece.items()))
     return out
 
 
@@ -223,13 +188,15 @@ class TensorContext:
     def arity(self) -> int:
         return 2 * self.datum.rank
 
-    @property
+    # One pair of factor contexts per tensor context, so that a sweep reuses
+    # their memoized generator images (see `contour`).
+    @cached_property
     def left(self) -> ModuleContext:
         return ModuleContext(datum=self.datum, weight=self.weight1,
                              depth=self.depth, arity=self.arity,
                              z_offset=0, faults=self.faults)
 
-    @property
+    @cached_property
     def right(self) -> ModuleContext:
         return ModuleContext(datum=self.datum, weight=self.weight2,
                              depth=self.depth, arity=self.arity,
@@ -242,30 +209,6 @@ def tensor_vacuum(tctx: TensorContext) -> TensorVector:
 
 def tensor_state(tctx: TensorContext, s1: Seq, s2: Seq) -> TensorVector:
     return {(tuple(s1), tuple(s2)): PhaseScalar.one(tctx.arity)}
-
-
-def tvec_add(v1: TensorVector, v2: TensorVector) -> TensorVector:
-    out = dict(v1)
-    for k, c in v2.items():
-        s = out.get(k)
-        c = c if s is None else s + c
-        if c.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = c
-    return out
-
-
-def tvec_sub(v1: TensorVector, v2: TensorVector) -> TensorVector:
-    return tvec_add(v1, {k: -c for k, c in v2.items()})
-
-
-def tvec_is_zero(v: TensorVector) -> bool:
-    return all(c.is_zero() for c in v.values())
-
-
-def tvec_eq(v1: TensorVector, v2: TensorVector) -> bool:
-    return tvec_is_zero(tvec_sub(v1, v2))
 
 
 def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
@@ -282,16 +225,8 @@ def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
         if not v1:
             continue
         v2 = apply_word(right, w2, {s2: PhaseScalar.one(tctx.arity)})
-        for t1, c1 in v1.items():
-            for t2, c2 in v2.items():
-                k = (t1, t2)
-                coeff = c1 * c2
-                s = out.get(k)
-                coeff = coeff if s is None else s + coeff
-                if coeff.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = coeff
+        accumulate(out, (((t1, t2), c1 * c2) for t1, c1 in v1.items()
+                         for t2, c2 in v2.items()))
     return out
 
 
@@ -300,7 +235,7 @@ def act_tensor_element(tctx: TensorContext, te: TensorElement,
     out: TensorVector = {}
     for (w1, w2), coeff in te.items():
         piece = act_word_pair(tctx, w1, w2, tv)
-        out = tvec_add(out, {k: coeff * c for k, c in piece.items()})
+        accumulate(out, ((k, coeff * c) for k, c in piece.items()))
     return out
 
 
@@ -320,8 +255,7 @@ def split_lowering(tctx: TensorContext, j: int, tv: TensorVector) -> TensorVecto
     out: TensorVector = {}
     for (s1, s2), c in tv.items():
         outer = apply_lowering(left, j, {s1: c})
-        for t1, c1 in outer.items():
-            out = tvec_add(out, {(t1, s2): c1})
+        accumulate(out, (((t1, s2), c1) for t1, c1 in outer.items()))
         crossing = left.z(j, 1)
         for i in s1:
             exp = datum.pair(j, i)
@@ -330,8 +264,7 @@ def split_lowering(tctx: TensorContext, j: int, tv: TensorVector) -> TensorVecto
                 factor = -factor
             crossing = crossing * factor
         inner = apply_lowering(right, j, {s2: c * crossing})
-        for t2, c2 in inner.items():
-            out = tvec_add(out, {(s1, t2): c2})
+        accumulate(out, (((s1, t2), c2) for t2, c2 in inner.items()))
     return out
 
 
@@ -599,14 +532,10 @@ def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
         lhs: dict = {}
         rhs: dict = {}
         for (w1, w2), c in te.items():
-            for (a, b), c2 in coproduct_word(datum, w1, arity).items():
-                k = (a, b, w2)
-                lhs[k] = lhs.get(k, PhaseScalar.zero(arity)) + c * c2
-            for (a, b), c2 in coproduct_word(datum, w2, arity).items():
-                k = (w1, a, b)
-                rhs[k] = rhs.get(k, PhaseScalar.zero(arity)) + c * c2
-        lhs = {k: c for k, c in lhs.items() if not c.is_zero()}
-        rhs = {k: c for k, c in rhs.items() if not c.is_zero()}
+            accumulate(lhs, (((a, b, w2), c * c2) for (a, b), c2
+                             in coproduct_word(datum, w1, arity).items()))
+            accumulate(rhs, (((w1, a, b), c * c2) for (a, b), c2
+                             in coproduct_word(datum, w2, arity).items()))
         record = IdentityRecord(f"coassociativity on {tok}",
                                 "pass" if lhs == rhs else "fail")
         if lhs != rhs:

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -245,3 +246,47 @@ def test_verify_accepts_hopf_axioms_suite_name(capsys):
                          "hopf", "--depth", "2", "--format", "json")
     assert code == 0
     assert json.loads(alias) == payload
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_workers_below_one(capsys, workers):
+    code, out, err = run(capsys, "verify", "--algebra", "sl2", "--suite",
+                         "relations", "--depth", "2", f"--workers={workers}")
+    assert code == 2
+    assert err.startswith("error:") and "--workers" in err
+    assert out == ""
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        InlinePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        # the round trip a real pool makes between processes
+        return [fn(pickle.loads(pickle.dumps(p))) for p in payloads]
+
+
+@pytest.mark.parametrize("workers, size", [("5000", 15), ("2", 2)])
+def test_verify_pool_has_at_most_one_worker_per_relation(capsys, monkeypatch,
+                                                         workers, size):
+    from qscreen import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    argv = ("verify", "--algebra", "sl3", "--suite", "relations", "--depth",
+            "3", "--format", "json", "--inject-fault", "flip_raising_prefactor")
+    serial = run(capsys, *argv)
+    pooled = run(capsys, *argv, "--workers", workers)
+    assert InlinePool.sizes == [size]
+    assert serial[0] == pooled[0] == 1
+    assert serial[1] == pooled[1]
