@@ -136,8 +136,7 @@ def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
         for result in pool.map(_relation_chunk, payloads):
             records.update((rec.identity, rec) for rec in result)
     report = VerificationReport("relations", datum.name or "custom", depth,
-                                "generic" if weight.is_generic else
-                                ",".join(str(c) for c in weight.coords))
+                                weight.label)
     report.records = [records[name] for name in names]
     return report
 
@@ -151,18 +150,16 @@ def cmd_verify(args) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
+    suites = (("relations", "coproduct", "hopf") if args.suite == "all"
+              else (args.suite,))
     reports: list[VerificationReport] = []
-    if args.workers > 1 and args.suite in ("relations", "all"):
-        reports.append(parallel_relations(datum, depth, weight1, faults,
-                                          args.workers))
-        if args.suite == "all":
-            reports.extend(run_suite("coproduct", datum, depth, weight1,
-                                     weight2, faults))
-            reports.extend(run_suite("hopf", datum, depth, weight1,
-                                     weight2, faults))
-    else:
-        reports.extend(run_suite(args.suite, datum, depth, weight1, weight2,
-                                 faults))
+    for suite in suites:
+        if suite == "relations" and args.workers > 1:
+            reports.append(parallel_relations(datum, depth, weight1, faults,
+                                              args.workers))
+        else:
+            reports.extend(run_suite(suite, datum, depth, weight1, weight2,
+                                     faults))
 
     ok = all(rep.passed for rep in reports)
     payload = {"status": "pass" if ok else "fail",
@@ -217,21 +214,22 @@ def cmd_serre_scan(args) -> int:
     result = singular_scan(datum, multidegree, weight=weight, faults=faults)
     payload = result.to_json()
     text = result.to_text()
+    specs = []
     if args.specialize:
         generic = result if weight.is_generic else singular_scan(
             datum, multidegree, faults=faults)
-        specs = []
         for wtext in args.specialize:
             w = parse_weight(wtext, datum.rank)
             if w.is_generic:
                 raise UsageError("--specialize takes concrete weights")
-            spec = specialize_scan(generic, datum, w)
+            spec = specialize_scan(generic, datum, w, faults)
             specs.append(spec)
             text += f"\nspecialized at ({spec['weight']}): {spec['status']}"
         payload["specializations"] = specs
     emit(payload, args, text)
-    bad = [checks for checks in result.residuals
-           if any(v != "0" for v in checks.values())]
+    bad = any(v != "0" for checks in result.residuals for v in checks.values())
+    bad = bad or any(spec["status"] == "residual-nonzero"
+                     for spec in specs)
     return 1 if bad else 0
 
 

@@ -324,13 +324,14 @@ def seq_token(seq: Seq) -> str:
     return "U(" + ",".join(str(i + 1) for i in seq) + ")"
 
 
-def render_vector(v: Vector) -> str:
+def render_vector(v: dict, token=seq_token,
+                  order=lambda k: (len(k), k)) -> str:
+    """Render a sparse dict as `c·token(key) + ...`, keys sorted by `order`.
+
+    Serves every sparse type: module vectors by default, and algebra
+    elements, tensor vectors and formal tensors with their own key token.
+    """
     if not v or vec_is_zero(v):
         return "0"
-    parts = []
-    for seq in sorted(v, key=lambda s: (len(s), s)):
-        c = v[seq]
-        if c.is_zero():
-            continue
-        parts.append(f"{c.render(wrap=True)}·{seq_token(seq)}")
-    return " + ".join(parts)
+    return " + ".join(f"{v[k].render(wrap=True)}·{token(k)}"
+                      for k in sorted(v, key=order) if not v[k].is_zero())

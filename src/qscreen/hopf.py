@@ -19,15 +19,17 @@ The verification suites sweep every contour basis state up to the configured
 depth and check the defining relations, the compatibility of the coproduct
 with the contour-splitting rule, the homomorphism property of the coproduct
 on the relations, and the Hopf axioms.  Each suite returns a report with one
-record per identity; the first failing basis state is kept as a
-counterexample.
+record per identity.  Every record, swept or formal, comes from one loop,
+`_sweep`: it compares both sides case by case, stops at the first failing
+basis state and keeps it as a counterexample, rendered exactly by
+`contour.render_vector` with the key token of the sparse type at hand.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -48,7 +50,6 @@ from .contour import (
     seq_token,
     vec_add,
     vec_eq,
-    vec_is_zero,
     vec_scale,
     word_parity,
     word_token,
@@ -67,7 +68,7 @@ TensorVector = dict[tuple[Seq, Seq], PhaseScalar]
 # Algebra elements and tensor-module vectors are sparse dicts like module
 # vectors, so the module-vector sums serve them too.
 elem_add = vec_add
-tvec_is_zero, tvec_eq = vec_is_zero, vec_eq
+tvec_eq = vec_eq
 
 
 # ---- algebra elements ----
@@ -203,10 +204,6 @@ class TensorContext:
                              z_offset=self.datum.rank, faults=self.faults)
 
 
-def tensor_vacuum(tctx: TensorContext) -> TensorVector:
-    return {((), ()): PhaseScalar.one(tctx.arity)}
-
-
 def tensor_state(tctx: TensorContext, s1: Seq, s2: Seq) -> TensorVector:
     return {(tuple(s1), tuple(s2)): PhaseScalar.one(tctx.arity)}
 
@@ -272,15 +269,8 @@ def tensor_seq_token(key: tuple[Seq, Seq]) -> str:
     return f"{seq_token(key[0])}(x){seq_token(key[1])}"
 
 
-def render_tensor_vector(v: TensorVector) -> str:
-    if not v or tvec_is_zero(v):
-        return "0"
-    parts = []
-    for key in sorted(v, key=lambda k: (len(k[0]) + len(k[1]), k)):
-        c = v[key]
-        if not c.is_zero():
-            parts.append(f"{c.render(wrap=True)}·{tensor_seq_token(key)}")
-    return " + ".join(parts)
+render_tensor_vector = partial(render_vector, token=tensor_seq_token,
+                               order=lambda k: (len(k[0]) + len(k[1]), k))
 
 
 # ---- braiding of two insertions ----
@@ -411,13 +401,31 @@ class VerificationReport:
 
 
 def weight_label(*weights: Weight) -> str:
-    parts = []
-    for w in weights:
-        if w.is_generic:
-            parts.append("generic")
-        else:
-            parts.append(",".join(str(c) for c in w.coords))
-    return " | ".join(parts)
+    return " | ".join(w.label for w in weights)
+
+
+def _sweep(identity: str, cases, render=render_vector) -> IdentityRecord:
+    """Check one identity case by case, keeping the first counterexample.
+
+    Each case is (basis token, sides, expected): the identity holds there
+    when every side equals `expected`.  Cases are taken lazily, so the sweep
+    computes nothing past the first failure.  A failing record renders the
+    sides joined by " ; " against the expected value.
+    """
+    for basis, sides, expected in cases:
+        if not all(vec_eq(side, expected) for side in sides):
+            return IdentityRecord(identity, "fail", {
+                "basis": basis,
+                "lhs": " ; ".join(render(side) for side in sides),
+                "rhs": render(expected),
+            })
+    return IdentityRecord(identity, "pass")
+
+
+def _unit_states(rank: int, depth: int, arity: int) -> list[tuple[str, Vector]]:
+    """(token, unit vector) for every contour state up to depth-1."""
+    return [(seq_token(seq), {seq: PhaseScalar.one(arity)})
+            for seq in basis_states(rank, depth - 1)]
 
 
 def verify_relations(datum: RootDatum, depth: int = 4,
@@ -428,23 +436,12 @@ def verify_relations(datum: RootDatum, depth: int = 4,
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth, faults=faults)
     report = VerificationReport("relations", datum.name or "custom",
                                 depth, weight_label(weight))
-    states = list(basis_states(datum.rank, depth - 1))
+    states = _unit_states(datum.rank, depth, ctx.arity)
     for name, rel in defining_relations(datum, ctx.arity):
         if identity_filter is not None and not identity_filter(name):
             continue
-        record = IdentityRecord(name, "pass")
-        for seq in states:
-            v = {seq: PhaseScalar.one(ctx.arity)}
-            image = act_algebra(ctx, rel, v)
-            if not vec_is_zero(image):
-                record.status = "fail"
-                record.counterexample = {
-                    "basis": seq_token(seq),
-                    "lhs": render_vector(image),
-                    "rhs": "0",
-                }
-                break
-        report.records.append(record)
+        report.records.append(_sweep(name, (
+            (basis, (act_algebra(ctx, rel, v),), {}) for basis, v in states)))
     return report
 
 
@@ -462,43 +459,25 @@ def verify_coproduct(datum: RootDatum, depth: int = 3,
                          depth=depth, faults=faults)
     report = VerificationReport("coproduct", datum.name or "custom",
                                 depth, weight_label(weight1, weight2))
-    pairs = [(s1, s2)
+    pairs = [(tensor_seq_token((s1, s2)), tensor_state(tctx, s1, s2))
              for s1 in basis_states(datum.rank, depth - 1)
              for s2 in basis_states(datum.rank, depth - 1)]
 
     for j in range(datum.rank):
-        record = IdentityRecord(
-            f"D(F{j+1}) matches the contour-splitting rule", "pass")
         te = coproduct_letter(("F", j), tctx.arity)
-        for s1, s2 in pairs:
-            tv = tensor_state(tctx, s1, s2)
-            via_table = act_tensor_element(tctx, te, tv)
-            via_split = split_lowering(tctx, j, tv)
-            if not tvec_eq(via_table, via_split):
-                record.status = "fail"
-                record.counterexample = {
-                    "basis": tensor_seq_token((s1, s2)),
-                    "lhs": render_tensor_vector(via_table),
-                    "rhs": render_tensor_vector(via_split),
-                }
-                break
-        report.records.append(record)
+        report.records.append(_sweep(
+            f"D(F{j+1}) matches the contour-splitting rule",
+            ((basis, (act_tensor_element(tctx, te, tv),),
+              split_lowering(tctx, j, tv)) for basis, tv in pairs),
+            render_tensor_vector))
 
     for name, rel in defining_relations(datum, tctx.arity):
-        record = IdentityRecord(f"D[{name}] acts as zero", "pass")
         te = coproduct_element(datum, rel, tctx.arity)
-        for s1, s2 in pairs:
-            tv = tensor_state(tctx, s1, s2)
-            image = act_tensor_element(tctx, te, tv)
-            if not tvec_is_zero(image):
-                record.status = "fail"
-                record.counterexample = {
-                    "basis": tensor_seq_token((s1, s2)),
-                    "lhs": render_tensor_vector(image),
-                    "rhs": "0",
-                }
-                break
-        report.records.append(record)
+        report.records.append(_sweep(
+            f"D[{name}] acts as zero",
+            ((basis, (act_tensor_element(tctx, te, tv),), {})
+             for basis, tv in pairs),
+            render_tensor_vector))
     return report
 
 
@@ -507,6 +486,14 @@ def _all_letters(datum: RootDatum) -> list[Letter]:
     for j in range(datum.rank):
         letters += [("E", j), ("F", j), ("K", j, 1), ("K", j, -1)]
     return letters
+
+
+_render_element = partial(render_vector, token=word_token)
+# Formal triple tensors keep the order in which they were built among keys
+# of equal word lengths (a stable sort on the lengths alone).
+_render_triple = partial(
+    render_vector, token=lambda k: "[" + "(x)".join(map(word_token, k)) + "]",
+    order=lambda k: tuple(map(len, k)))
 
 
 def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
@@ -519,10 +506,11 @@ def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
     checked as operator identities on the contour module.
     """
     arity = datum.rank
+    one = PhaseScalar.one(arity)
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth, faults=faults)
     report = VerificationReport("hopf-axioms", datum.name or "custom",
                                 depth, weight_label(weight))
-    states = list(basis_states(datum.rank, depth - 1))
+    states = _unit_states(datum.rank, depth, arity)
 
     for letter in _all_letters(datum):
         tok = word_token((letter,))
@@ -536,81 +524,33 @@ def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
                              in coproduct_word(datum, w1, arity).items()))
             accumulate(rhs, (((w1, a, b), c * c2) for (a, b), c2
                              in coproduct_word(datum, w2, arity).items()))
-        record = IdentityRecord(f"coassociativity on {tok}",
-                                "pass" if lhs == rhs else "fail")
-        if lhs != rhs:
-            record.counterexample = {
-                "basis": tok,
-                "lhs": _render_triple(lhs),
-                "rhs": _render_triple(rhs),
-            }
-        report.records.append(record)
+        report.records.append(_sweep(f"coassociativity on {tok}",
+                                     [(tok, (lhs,), rhs)], _render_triple))
 
         # counit laws, formally
         left: AlgebraElement = {}
         right: AlgebraElement = {}
         for (w1, w2), c in te.items():
-            left = elem_add(left, {w2: c * counit_word(w1, arity)})
-            right = elem_add(right, {w1: c * counit_word(w2, arity)})
-        expected: AlgebraElement = {(letter,): PhaseScalar.one(arity)}
-        ok = left == expected and right == expected
-        record = IdentityRecord(f"counit laws on {tok}", "pass" if ok else "fail")
-        if not ok:
-            record.counterexample = {
-                "basis": tok,
-                "lhs": _render_element(left) + " ; " + _render_element(right),
-                "rhs": _render_element(expected),
-            }
-        report.records.append(record)
+            accumulate(left, [(w2, c * counit_word(w1, arity))])
+            accumulate(right, [(w1, c * counit_word(w2, arity))])
+        report.records.append(_sweep(f"counit laws on {tok}",
+                                     [(tok, (left, right), {(letter,): one})],
+                                     _render_element))
 
         # antipode laws, as operators on the module
         gamma_left: AlgebraElement = {}
         gamma_right: AlgebraElement = {}
         for (w1, w2), c in te.items():
-            gamma_left = elem_add(
-                gamma_left,
-                elem_scale(c, elem_mul(antipode_word(datum, w1, arity),
-                                       {w2: PhaseScalar.one(arity)})))
-            gamma_right = elem_add(
-                gamma_right,
-                elem_scale(c, elem_mul({w1: PhaseScalar.one(arity)},
-                                       antipode_word(datum, w2, arity))))
+            accumulate(gamma_left, elem_scale(c, elem_mul(
+                antipode_word(datum, w1, arity), {w2: one})).items())
+            accumulate(gamma_right, elem_scale(c, elem_mul(
+                {w1: one}, antipode_word(datum, w2, arity))).items())
         eps = counit_word((letter,), arity)
-        record = IdentityRecord(f"antipode laws on {tok}", "pass")
-        for seq in states:
-            v = {seq: PhaseScalar.one(arity)}
-            target = vec_scale(eps, v)
-            got_l = act_algebra(ctx, gamma_left, v)
-            got_r = act_algebra(ctx, gamma_right, v)
-            if not (vec_eq(got_l, target) and vec_eq(got_r, target)):
-                record.status = "fail"
-                record.counterexample = {
-                    "basis": seq_token(seq),
-                    "lhs": render_vector(got_l) + " ; " + render_vector(got_r),
-                    "rhs": render_vector(target),
-                }
-                break
-        report.records.append(record)
+        report.records.append(_sweep(f"antipode laws on {tok}", (
+            (basis, (act_algebra(ctx, gamma_left, v),
+                     act_algebra(ctx, gamma_right, v)), vec_scale(eps, v))
+            for basis, v in states)))
     return report
-
-
-def _render_element(e: AlgebraElement) -> str:
-    if not e:
-        return "0"
-    parts = []
-    for w in sorted(e, key=lambda w: (len(w), w)):
-        parts.append(f"{e[w].render(wrap=True)}·{word_token(w)}")
-    return " + ".join(parts)
-
-
-def _render_triple(t: dict) -> str:
-    if not t:
-        return "0"
-    parts = []
-    for k in sorted(t, key=lambda k: tuple(map(len, k))):
-        label = "(x)".join(word_token(w) for w in k)
-        parts.append(f"{t[k].render(wrap=True)}·[{label}]")
-    return " + ".join(parts)
 
 
 def run_suite(suite: str, datum: RootDatum, depth: int,

@@ -108,6 +108,13 @@ class Weight:
     def is_generic(self) -> bool:
         return self.coords is None
 
+    @property
+    def label(self) -> str:
+        """`generic`, or the coordinates joined by commas, as reports print it."""
+        if self.coords is None:
+            return "generic"
+        return ",".join(str(c) for c in self.coords)
+
     def root_pairing(self, datum: RootDatum, j: int) -> Fraction:
         """alpha_j . lambda for a concrete weight."""
         if self.coords is None:

@@ -25,7 +25,9 @@ minor of the matrix, and its zeros mark weights where the generic
 elimination breaks down (for sl3 at multidegree (2,1) it carries the factor
 1 - z1^2, which vanishes at weight 1,2).  Equality tests and specializations
 treat the un-cancelled factor correctly, and a specialization that lands on
-it raises DenominatorVanishesError rather than guessing.
+it raises DenominatorVanishesError rather than guessing.  A scan at a
+concrete weight has no z left to specialize, so there each coordinate is
+replaced by its exact Laurent quotient whenever v_lead divides it.
 """
 
 from __future__ import annotations
@@ -217,17 +219,28 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
         rows.extend(block)
 
     basis = nullspace(rows, len(words), ctx.arity)
+    if not weight.is_generic:
+        # No z is left to specialize, so no vanishing locus is at stake.
+        basis = [[_reduce_exact(c) for c in vec] for vec in basis]
     result = ScanResult(
         algebra=datum.name or "custom",
         multidegree=multidegree,
-        weight="generic" if weight.is_generic else ",".join(
-            str(c) for c in weight.coords),
+        weight=weight.label,
         words=words,
         basis=basis,
     )
     result.residuals = [residual_checks(datum, words, vec, weight, faults)
                         for vec in basis]
     return result
+
+
+def _reduce_exact(c: PhaseScalar) -> PhaseScalar:
+    """c as a Laurent polynomial when its denominator divides it exactly."""
+    try:
+        return PhaseScalar(_pdiv_exact(c.num, c.den),
+                           PhaseScalar.one(c.arity).num, c.arity)
+    except ValueError:
+        return c
 
 
 def residual_checks(datum: RootDatum, words: list[Seq],
@@ -264,21 +277,23 @@ def specialize_vector(vec: Sequence[PhaseScalar],
     return [c.substitute_z(exps) for c in vec]
 
 
-def specialize_scan(result: ScanResult, datum: RootDatum,
-                    weight: Weight) -> dict:
+def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
+                    faults: FaultInjection = NO_FAULTS) -> dict:
     """Specialize a generic scan at one concrete weight.
 
     Returns {"weight", "status", ...}: status "ok" carries the specialized
     basis and recomputed residuals, status "denominator-vanishes" reports
-    the weight as lying on a vanishing locus.
+    the weight as lying on a vanishing locus.  The residuals are checked
+    with the scan's own `faults`, so a faulted kernel meets the operator
+    it was computed from.
     """
-    label = ",".join(str(c) for c in weight.coords)
+    label = weight.label
     try:
         basis = [specialize_vector(vec, datum, weight) for vec in result.basis]
     except DenominatorVanishesError as exc:
         return {"weight": label, "status": "denominator-vanishes",
                 "detail": str(exc)}
-    residuals = [residual_checks(datum, result.words, vec, weight)
+    residuals = [residual_checks(datum, result.words, vec, weight, faults)
                  for vec in basis]
     ok = all(v == "0" for checks in residuals for v in checks.values())
     return {"weight": label, "status": "ok" if ok else "residual-nonzero",

@@ -290,3 +290,46 @@ def test_verify_pool_has_at_most_one_worker_per_relation(capsys, monkeypatch,
     assert InlinePool.sizes == [size]
     assert serial[0] == pooled[0] == 1
     assert serial[1] == pooled[1]
+
+
+def test_verify_all_with_workers_matches_serial(capsys, monkeypatch):
+    from qscreen import cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    argv = ("verify", "--algebra", "sl2_1", "--suite", "all", "--depth", "2",
+            "--format", "json", "--inject-fault", "flip_raising_prefactor")
+    serial = run(capsys, *argv)
+    pooled = run(capsys, *argv, "--workers", "2")
+    assert InlinePool.sizes == [2]
+    assert serial == pooled
+    suites = [rep["suite"] for rep in json.loads(pooled[1])["reports"]]
+    assert suites == ["relations", "coproduct", "hopf-axioms"]
+
+
+def test_serre_scan_specializes_with_the_scan_faults(capsys):
+    # The faulted kernel is checked against the faulted operator it came
+    # from, at the specialized weight as at the generic one.
+    code, out, _ = run(capsys, "serre-scan", "--algebra", "sl2_1",
+                       "--multidegree", "1,2", "--inject-fault",
+                       "flip_raising_prefactor", "--specialize", "3,5",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["residual_checks"] == [{"E1": "0", "E2": "0"}]
+    assert [s["status"] for s in payload["specializations"]] == ["ok"]
+
+
+def test_serre_scan_exits_one_on_nonzero_specialized_residual(capsys,
+                                                             monkeypatch):
+    from qscreen import cli
+
+    def nonzero(result, datum, weight, faults):
+        return {"weight": weight.label, "status": "residual-nonzero",
+                "basis": [], "residual_checks": [{"E1": "1", "E2": "0"}]}
+
+    monkeypatch.setattr(cli, "specialize_scan", nonzero)
+    code, out, _ = run(capsys, "serre-scan", "--algebra", "sl3",
+                       "--multidegree", "2,1", "--specialize", "1,7")
+    assert code == 1
+    assert out.endswith("specialized at (1,7): residual-nonzero\n")

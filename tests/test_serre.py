@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from qscreen.phase import DenominatorVanishesError, PhaseScalar, q_power
 from qscreen.rootdata import CATALOG, Weight
 from qscreen.serre import (
+    _reduce_exact,
     enumerate_words,
     nullspace,
     residual_checks,
@@ -159,6 +160,25 @@ def test_kernel_lead_prints_as_one(name, md, weight):
     result = singular_scan(CATALOG[name], md, weight=weight)
     for entry in result.basis_as_tokens():
         assert next(iter(entry.values())) == "1"
+
+
+def test_concrete_kernel_is_reduced_when_exact():
+    """At a concrete weight a coordinate whose denominator divides it
+    exactly prints as a Laurent polynomial."""
+    result = singular_scan(CATALOG["sl3"], (2, 1),
+                           weight=Weight.concrete([1, 2]))
+    assert result.basis_as_tokens() == [
+        {"F1 F1 F2": "1", "F1 F2 F1": "-q - q^-1", "F2 F1 F1": "1"}]
+    assert result.residuals == [{"E1": "0", "E2": "0"}]
+
+
+def test_reduce_exact_keeps_a_true_quotient():
+    q = q_power(1, 0)
+    c = q / (1 + q)
+    reduced = _reduce_exact(c)
+    assert reduced == c
+    assert reduced.den == c.den != PhaseScalar.one(0).den
+    assert _reduce_exact((q + q ** 3) / (1 + q ** 2)).render() == "q"
 
 
 def test_sl3_frozen_vector_against_oracle_nullspace():
