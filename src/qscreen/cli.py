@@ -187,6 +187,9 @@ def cmd_act(args) -> int:
         result = apply_word(ctx, word, state(ctx, start))
     except DepthExceededError as exc:
         raise UsageError(str(exc)) from exc
+    if not weight.is_generic:
+        # No z is left to specialize, so no vanishing locus is at stake.
+        result = {s: c.reduce_exact() for s, c in result.items()}
     payload = {
         "algebra": datum.name or "custom",
         "word": word_token(word),

@@ -18,6 +18,15 @@ cross-multiplication.  No gcd over these sums is ever computed: `normalize`
 only fixes the unit ambiguity (a common monomial factor and a common rational
 scale), which is enough to make canonical forms reproducible.
 
+Each q-exponent a and coefficient c is an int, or a Fraction when
+non-integral.  Almost every value in play is integral, and int arithmetic
+and hashing cost far less than Fraction's.  Equal numbers hash and compare
+equal (hash(Fraction(2)) == hash(2)), so keys, equality and rendering do not
+depend on which type holds an integral value: values are made int where they
+enter (the constructors and `substitute_z`), and an integral Fraction that
+arithmetic yields later is harmless.  Coefficients are divided only through
+`_cdiv`, which stays exact where int / int would give a float.
+
 The number of z slots (the arity) is fixed per computation: single modules
 use one slot per simple root, tensor squares use two.  Mixing arities is an
 error, never a silent coercion.
@@ -28,12 +37,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-# Monomial key: (q-exponent, z-exponent vector).
-Key = tuple[Fraction, tuple[int, ...]]
-# Sparse sum of monomials; zero-coefficient entries are never stored.
-Poly = dict[Key, Fraction]
-
 Rational = Union[int, Fraction]
+
+# Monomial key: (q-exponent, z-exponent vector); the q-exponent is an int,
+# or a Fraction when non-integral.
+Key = tuple[Rational, tuple[int, ...]]
+# Sparse sum of monomials; each coefficient is an int, or a Fraction when
+# non-integral.  Zero-coefficient entries are never stored.
+Poly = dict[Key, Rational]
 
 
 class ArityMismatchError(ValueError):
@@ -44,12 +55,25 @@ class DenominatorVanishesError(ZeroDivisionError):
     """Raised when a z-substitution sends a denominator to zero."""
 
 
+def _demote(x: Rational) -> Rational:
+    """x as an int when it is integral; a non-integral x unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _cdiv(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b of two coefficients, never a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _demote(a / b)
+
+
 def _zero_key(arity: int) -> Key:
-    return (Fraction(0), (0,) * arity)
+    return (0, (0,) * arity)
 
 
 def _one_poly(arity: int) -> Poly:
-    return {_zero_key(arity): Fraction(1)}
+    return {_zero_key(arity): 1}
 
 
 def _strip(p: Poly) -> Poly:
@@ -59,7 +83,7 @@ def _strip(p: Poly) -> Poly:
 def _padd(p1: Poly, p2: Poly) -> Poly:
     out = dict(p1)
     for k, c in p2.items():
-        out[k] = out.get(k, Fraction(0)) + c
+        out[k] = out.get(k, 0) + c
     return _strip(out)
 
 
@@ -71,7 +95,7 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
     for (a1, m1), c1 in p1.items():
         for (a2, m2), c2 in p2.items():
             k = (a1 + a2, tuple(x + y for x, y in zip(m1, m2)))
-            out[k] = out.get(k, Fraction(0)) + c1 * c2
+            out[k] = out.get(k, 0) + c1 * c2
     return _strip(out)
 
 
@@ -112,7 +136,7 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
         if (term_order(key) > stop
                 or not all(l <= e <= h for l, e, h in zip(lo, (a,) + m, hi))):
             raise ValueError("exact division: the divisor does not divide")
-        c = rem[low] / lead_c
+        c = _cdiv(rem[low], lead_c)
         out[key] = c
         for k, dc in d.items():
             k = _key_product(key, k)
@@ -132,11 +156,11 @@ def _key_quotient(k1: Key, k2: Key) -> Key:
     return (k1[0] - k2[0], tuple(x - y for x, y in zip(k1[1], k2[1])))
 
 
-def _pdiv_term(p: Poly, key: Key, coeff: Fraction) -> Poly:
+def _pdiv_term(p: Poly, key: Key, coeff: Rational) -> Poly:
     """Divide a sum by the single monomial coeff*key (always exact)."""
     a0, m0 = key
     return {
-        (a - a0, tuple(x - y for x, y in zip(m, m0))): c / coeff
+        (a - a0, tuple(x - y for x, y in zip(m, m0))): _cdiv(c, coeff)
         for (a, m), c in p.items()
     }
 
@@ -170,10 +194,12 @@ class PhaseScalar:
         if not num:
             den = _one_poly(arity)
         elif len(den) == 1:
-            # A single-monomial denominator is a unit: fold it away.
+            # A single-monomial denominator is a unit: fold it away, unless
+            # it is already 1, as in every product of Laurent polynomials.
             key, coeff = next(iter(den.items()))
-            num = _pdiv_term(num, key, coeff)
-            den = _one_poly(arity)
+            if coeff != 1 or key[0] != 0 or any(key[1]):
+                num = _pdiv_term(num, key, coeff)
+                den = _one_poly(arity)
         self.num = num
         self.den = den
         self.arity = arity
@@ -190,7 +216,7 @@ class PhaseScalar:
 
     @classmethod
     def from_rational(cls, c: Rational, arity: int) -> "PhaseScalar":
-        c = Fraction(c)
+        c = _demote(Fraction(c))
         num = {} if c == 0 else {_zero_key(arity): c}
         return cls(num, _one_poly(arity), arity)
 
@@ -200,8 +226,8 @@ class PhaseScalar:
         m = tuple(m)
         if len(m) != arity:
             raise ArityMismatchError(f"exponent vector {m} has arity {len(m)}, expected {arity}")
-        coeff = Fraction(coeff)
-        num = {} if coeff == 0 else {(Fraction(a), m): coeff}
+        coeff = _demote(Fraction(coeff))
+        num = {} if coeff == 0 else {(_demote(Fraction(a)), m): coeff}
         return cls(num, _one_poly(arity), arity)
 
     def _coerce(self, other) -> "PhaseScalar":
@@ -320,6 +346,20 @@ class PhaseScalar:
         out.arity = self.arity
         return out
 
+    def reduce_exact(self) -> "PhaseScalar":
+        """This value as a Laurent polynomial when its denominator divides
+        its numerator exactly; otherwise this quotient unchanged.
+
+        Meant for values with no z left to specialize (a concrete weight):
+        at generic weight an un-cancelled factor marks where a
+        specialization must report `denominator-vanishes`.
+        """
+        try:
+            return PhaseScalar(_pdiv_exact(self.num, self.den),
+                               _one_poly(self.arity), self.arity)
+        except ValueError:
+            return self
+
     # ---- substitution ----
 
     def substitute_z(self, q_exponents: Sequence[Rational]) -> "PhaseScalar":
@@ -338,9 +378,9 @@ class PhaseScalar:
         def sub(p: Poly) -> Poly:
             out: Poly = {}
             for (a, m), c in p.items():
-                key = (a + sum(mk * ek for mk, ek in zip(m, exps)),
+                key = (_demote(a + sum(mk * ek for mk, ek in zip(m, exps))),
                        (0,) * self.arity)
-                out[key] = out.get(key, Fraction(0)) + c
+                out[key] = out.get(key, 0) + c
             return _strip(out)
 
         den = sub(self.den)
@@ -384,7 +424,7 @@ def render_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-def _render_monomial(c: Fraction, key: Key) -> str:
+def _render_monomial(c: Rational, key: Key) -> str:
     a, m = key
     factors: list[str] = []
     if a != 0:
@@ -398,7 +438,7 @@ def _render_monomial(c: Fraction, key: Key) -> str:
     return "·".join(factors)
 
 
-def _render_exp(a: Fraction) -> str:
+def _render_exp(a: Rational) -> str:
     return str(a) if a.denominator == 1 else f"({a})"
 
 

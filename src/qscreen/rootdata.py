@@ -155,16 +155,18 @@ CATALOG: dict[str, RootDatum] = {
 
 # ---- JSON configuration files ----
 #
-# {"rank": 2, "gram": [[2, -1], [-1, 0]], "odd": [2]}
+# {"name": "my_algebra", "rank": 2, "gram": [[2, -1], [-1, 0]], "odd": [2]}
 #
 # Gram entries may be integers or "p/q" strings; "odd" lists 1-based indices.
+# "rank" defaults to the size of "gram", and "name", when given, names the
+# algebra in reports instead of the file path.
 
 def datum_from_config(obj: dict, name: str = "") -> RootDatum:
     if not isinstance(obj, dict):
         raise ConfigError("algebra config must be a JSON object")
     try:
-        rank = int(obj["rank"])
         raw_gram = obj["gram"]
+        rank = int(obj["rank"]) if "rank" in obj else len(raw_gram)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad algebra config: {exc}") from exc
     try:
@@ -176,8 +178,8 @@ def datum_from_config(obj: dict, name: str = "") -> RootDatum:
         odd = frozenset(int(j) - 1 for j in odd_raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad odd-root list: {exc}") from exc
-    datum = RootDatum(rank=rank, gram=gram, odd=odd, name=name)
-    return datum
+    return RootDatum(rank=rank, gram=gram, odd=odd,
+                     name=str(obj.get("name") or name))
 
 
 def datum_to_config(datum: RootDatum) -> dict:

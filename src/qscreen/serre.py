@@ -42,8 +42,10 @@ from .contour import (
     Seq,
     apply_raising,
     apply_raising_hat,
+    lowering_word,
     render_vector,
     vec_is_zero,
+    word_token,
 )
 from .phase import (
     DenominatorVanishesError,
@@ -157,8 +159,7 @@ class ScanResult:
             entry = {}
             for word, coeff in zip(self.words, vec):
                 if not coeff.is_zero():
-                    token = " ".join(f"F{j+1}" for j in word) or "1"
-                    entry[token] = coeff.render()
+                    entry[word_token(lowering_word(word))] = coeff.render()
             out.append(entry)
         return out
 
@@ -221,7 +222,7 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
     basis = nullspace(rows, len(words), ctx.arity)
     if not weight.is_generic:
         # No z is left to specialize, so no vanishing locus is at stake.
-        basis = [[_reduce_exact(c) for c in vec] for vec in basis]
+        basis = [[c.reduce_exact() for c in vec] for vec in basis]
     result = ScanResult(
         algebra=datum.name or "custom",
         multidegree=multidegree,
@@ -232,15 +233,6 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
     result.residuals = [residual_checks(datum, words, vec, weight, faults)
                         for vec in basis]
     return result
-
-
-def _reduce_exact(c: PhaseScalar) -> PhaseScalar:
-    """c as a Laurent polynomial when its denominator divides it exactly."""
-    try:
-        return PhaseScalar(_pdiv_exact(c.num, c.den),
-                           PhaseScalar.one(c.arity).num, c.arity)
-    except ValueError:
-        return c
 
 
 def residual_checks(datum: RootDatum, words: list[Seq],
@@ -298,7 +290,7 @@ def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
     ok = all(v == "0" for checks in residuals for v in checks.values())
     return {"weight": label, "status": "ok" if ok else "residual-nonzero",
             "basis": [
-                {(" ".join(f"F{j+1}" for j in w) or "1"): c.render()
+                {word_token(lowering_word(w)): c.render()
                  for w, c in zip(result.words, vec) if not c.is_zero()}
                 for vec in basis],
             "residual_checks": residuals}

@@ -1,5 +1,6 @@
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,19 @@ def test_act_known_value(capsys):
     code, out, _ = run(capsys, "act", "--algebra", "sl2", "--word", "E1 F1")
     assert code == 0
     assert out.strip() == "E1 F1 · U() = (z1^-1 - z1)/(q - q^-1)·U()"
+
+
+def test_act_reduces_exact_quotients_at_a_concrete_weight(capsys):
+    code, out, _ = run(capsys, "act", "--algebra", "sl3", "--word", "E2 F2",
+                       "--start", "1,2", "--weight", "2,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"U(1,2)": "-1"}
+    # at generic weight an exact quotient is kept, as in a generic scan
+    code, out, _ = run(capsys, "act", "--algebra", "osp1_2", "--word", "E1 F1",
+                       "--start", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "U(1)": "(-z1^-1 + q^-1·z1^-1 - q·z1 + z1)/(q^(1/2) - q^(-1/2))"}
 
 
 def test_act_json(capsys):
@@ -187,6 +201,18 @@ def test_config_file_path(capsys, tmp_path):
     cfg.write_text("{not json")
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
+
+
+def test_readme_config_example_runs(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("**Algebra config**")[1].split("```json\n")[1]
+    example = example.split("```")[0]
+    cfg = tmp_path / "alg.json"
+    cfg.write_text(example)
+    code, out, err = run(capsys, "verify", "--config", str(cfg), "--suite",
+                         "relations", "--depth", "2", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["reports"][0]["algebra"] == "my_algebra"
 
 
 def test_malformed_config_contents(capsys, tmp_path):

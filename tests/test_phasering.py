@@ -283,3 +283,90 @@ def test_exact_division_rejects_non_multiples(triple):
     a, b, t = triple
     with pytest.raises(ValueError):
         _divide_or_time_out(_padd(_pmul(a, b), t), b)
+
+
+# ---- the scalar core: int, or Fraction when non-integral ----
+
+q_exps = st.one_of(st.integers(-4, 4),
+                   st.integers(-8, 8).map(lambda n: Fraction(n, 2)),
+                   st.integers(-9, 9).map(lambda n: Fraction(n, 3)))
+coeffs = st.one_of(st.integers(-3, 3), st.fractions(
+    min_value=-3, max_value=3, max_denominator=3)).filter(lambda c: c != 0)
+
+
+def _values(x):
+    """Every q-exponent and coefficient stored in a scalar."""
+    for p in (x.num, x.den):
+        for (a, m), c in p.items():
+            assert all(type(e) is int for e in m)
+            yield a
+            yield c
+
+
+def _exact(x):
+    return all(type(v) in (int, Fraction) for v in _values(x))
+
+
+def _demoted(x):
+    return all(type(v) is int or v.denominator != 1 for v in _values(x))
+
+
+@st.composite
+def built_scalars(draw, arity):
+    """A sum of 1-3 constructed monomials and the monomials themselves."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = tuple(draw(small_ints) for _ in range(arity))
+        terms.append(PhaseScalar.monomial(draw(coeffs), draw(q_exps), m, arity))
+    units = [PhaseScalar.from_rational(draw(coeffs), arity),
+             q_power(draw(q_exps), arity)]
+    if arity:
+        units.append(z_power(arity - 1, draw(small_ints), arity))
+    total = PhaseScalar.zero(arity)
+    for t in terms:
+        total = total + t
+    for u in units:
+        total = total * u
+    return total, terms + units
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    built_scalars(n), built_scalars(n), st.lists(q_exps, min_size=n, max_size=n))))
+def test_scalar_core_holds_no_floats(case):
+    (a, a_parts), (b, b_parts), exps = case
+    for part in a_parts + b_parts:
+        assert _exact(part) and _demoted(part)
+    results = [a + b, a - b, a * b, a.normalize()]
+    for d in (b, a + b + 1):
+        if not d.is_zero():
+            results += [a / d, (a / d).normalize()]
+    for x in list(results):
+        try:
+            special = x.substitute_z(exps)
+        except DenominatorVanishesError:
+            continue
+        results.append(special)
+        assert all(type(a) is int or a.denominator != 1
+                   for p in (special.num, special.den) for a, _ in p)
+    for x in results:
+        assert _exact(x)
+    if b.num:
+        quotient = _pdiv_exact(_pmul(a.num, b.num), b.num)
+        assert quotient == a.num
+        assert all(type(v) in (int, Fraction) for k, c in quotient.items()
+                   for v in (k[0], c))
+
+
+def test_integer_division_stays_exact():
+    third = PhaseScalar.from_rational(1, 0) / 3
+    assert third.render() == "1/3"
+    assert third.num == {(0, ()): Fraction(1, 3)}
+
+
+def test_fraction_keys_equal_int_keys():
+    built = PhaseScalar({(Fraction(2), (0,)): Fraction(3)},
+                        {(Fraction(0), (0,)): Fraction(1)}, 1)
+    assert built == 3 * q_power(2, 1)
+    assert built.num == (3 * q_power(2, 1)).num
+    assert str(built) == "3·q^2"

@@ -103,6 +103,13 @@ def test_config_fraction_strings():
     assert datum_to_config(datum)["gram"] == [["1/2"]]
 
 
+def test_config_rank_defaults_to_gram_size():
+    datum = datum_from_config({"name": "mine", "gram": [[2, -1], [-1, 0]],
+                               "odd": [2]}, name="path.json")
+    assert datum.rank == 2 and datum.name == "mine"
+    assert datum_from_config({"gram": [[2]]}, name="path.json").name == "path.json"
+
+
 def test_config_rejects_garbage():
     for bad in [
         {"rank": 1},

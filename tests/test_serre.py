@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qscreen.phase import DenominatorVanishesError, PhaseScalar, q_power
 from qscreen.rootdata import CATALOG, Weight
 from qscreen.serre import (
-    _reduce_exact,
     enumerate_words,
     nullspace,
     residual_checks,
@@ -175,10 +174,10 @@ def test_concrete_kernel_is_reduced_when_exact():
 def test_reduce_exact_keeps_a_true_quotient():
     q = q_power(1, 0)
     c = q / (1 + q)
-    reduced = _reduce_exact(c)
+    reduced = c.reduce_exact()
     assert reduced == c
     assert reduced.den == c.den != PhaseScalar.one(0).den
-    assert _reduce_exact((q + q ** 3) / (1 + q ** 2)).render() == "q"
+    assert ((q + q ** 3) / (1 + q ** 2)).reduce_exact().render() == "q"
 
 
 def test_sl3_frozen_vector_against_oracle_nullspace():
