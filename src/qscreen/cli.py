@@ -108,8 +108,11 @@ def emit(payload, args, text_form: str) -> None:
     else:
         out = text_form
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output: {exc}") from exc
     else:
         print(out)
 
@@ -179,6 +182,9 @@ def cmd_act(args) -> int:
     start = parse_seq(args.start)
     if any(j >= datum.rank for j in start):
         raise UsageError("contour index exceeds the rank")
+    if len(start) > depth:
+        raise UsageError(f"start state has {len(start)} contours, more than "
+                         f"the depth cap {depth}")
     if any(letter[1] >= datum.rank for letter in word):
         raise UsageError("generator index exceeds the rank")
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth,

@@ -21,7 +21,9 @@ product over the contours *outside* position l,
 
     prod_{l'<l} q^{n_{j, i_{l'}}} (-1)^{p(j) p(i_{l'})},
 
-whose sign keeps track of odd contours passing odd contours.
+whose sign keeps track of odd contours passing odd contours.  The product
+is a signed power of q, so `apply_raising_hat` carries it as a plain
+(exponent, sign) pair and builds one monomial per removed contour.
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.
@@ -125,15 +127,14 @@ class ModuleContext:
         d = self.datum.symmetrizer(j)
         return self.q(d) - self.q(-d)
 
-    def crossing_factor(self, j: int, i: int) -> PhaseScalar:
-        """Cost of sliding a type-j raising excision past one contour i."""
+    def crossing_factor(self, j: int, i: int) -> tuple[Fraction, int]:
+        """Cost of sliding a type-j raising excision past one contour i, as
+        the pair (e, s) of the factor s * q^e."""
         exp = self.datum.pair(j, i)
         if self.faults.flip_raising_prefactor:
             exp = -exp
-        factor = self.q(exp)
-        if self.datum.parity(j) * self.datum.parity(i) and not self.faults.drop_hat_parity:
-            factor = -factor
-        return factor
+        odd = self.datum.parity(j) * self.datum.parity(i)
+        return exp, -1 if odd and not self.faults.drop_hat_parity else 1
 
 
 def vacuum(ctx: ModuleContext) -> Vector:
@@ -223,16 +224,21 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
     """
     denom = (PhaseScalar.one(ctx.arity) if clear_denominator
              else ctx.bracket_denominator(j))
+    zeros = (0,) * ctx.arity
     out: Vector = {}
     for seq, c in v.items():
-        crossing = PhaseScalar.one(ctx.arity)
+        # the crossing product over the contours outside position l
+        exp, sign = 0, 1
         for l, i in enumerate(seq):
             if i == j:
                 inner = sum((ctx.datum.pair(j, ip) for ip in seq[l + 1:]),
                             Fraction(0))
                 bracket = (1 - ctx.q(2 * inner) * ctx.z(j, 2)) / denom
+                crossing = PhaseScalar.monomial(sign, exp, zeros, ctx.arity)
                 accumulate(out, [(seq[:l] + seq[l + 1:], c * crossing * bracket)])
-            crossing = crossing * ctx.crossing_factor(j, i)
+            e, s = ctx.crossing_factor(j, i)
+            exp += e
+            sign *= s
     return out
 
 

@@ -23,6 +23,14 @@ record per identity.  Every record, swept or formal, comes from one loop,
 `_sweep`: it compares both sides case by case, stops at the first failing
 basis state and keeps it as a counterexample, rendered exactly by
 `contour.render_vector` with the key token of the sparse type at hand.
+
+The tensor sweep acts by a word pair w1 (x) w2 on every pair of factor
+states, but each factor image depends on one factor state only.
+`act_word_pair` therefore memoizes the image of each (side, word, state)
+in the `TensorContext`, and builds each pair's image as a product of two
+stored images: N factor images per sweep rather than N² pair images.  Like
+the generator memo of `contour`, it lives and dies with the one context
+whose fields fix every image.
 """
 
 from __future__ import annotations
@@ -184,6 +192,10 @@ class TensorContext:
     weight2: Weight = field(default_factory=Weight.generic)
     depth: int = 4
     faults: FaultInjection = NO_FAULTS
+    # (side, word, seq) -> image of the unit state under one tensor factor;
+    # see `act_word_pair`.
+    _images: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -208,21 +220,37 @@ def tensor_state(tctx: TensorContext, s1: Seq, s2: Seq) -> TensorVector:
     return {(tuple(s1), tuple(s2)): PhaseScalar.one(tctx.arity)}
 
 
+def _factor_image(tctx: TensorContext, side: int, word: Word,
+                  seq: Seq) -> Vector:
+    """The image of the unit state at seq under word, acting on the left
+    (side 0) or right (side 1) factor; memoized in the tensor context."""
+    key = (side, word, seq)
+    image = tctx._images.get(key)
+    if image is None:
+        ctx = tctx.right if side else tctx.left
+        image = apply_word(ctx, word, {seq: PhaseScalar.one(tctx.arity)})
+        tctx._images[key] = image
+    return image
+
+
 def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
                   tv: TensorVector) -> TensorVector:
-    """Act by w1 (x) w2, sliding w2 past the left factor with a super sign."""
+    """Act by w1 (x) w2, sliding w2 past the left factor with a super sign.
+
+    Factor images come from the context's memo; see the module docstring.
+    """
     datum = tctx.datum
     p2 = word_parity(datum, w2)
-    left, right = tctx.left, tctx.right
     out: TensorVector = {}
     for (s1, s2), c in tv.items():
         if p2 and seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign:
             c = -c
-        v1 = apply_word(left, w1, {s1: c})
+        v1 = _factor_image(tctx, 0, w1, s1)
         if not v1:
             continue
-        v2 = apply_word(right, w2, {s2: PhaseScalar.one(tctx.arity)})
-        accumulate(out, (((t1, t2), c1 * c2) for t1, c1 in v1.items()
+        v2 = _factor_image(tctx, 1, w2, s2)
+        # A fresh dict of fresh scalars: a memoized image is never handed out.
+        accumulate(out, (((t1, t2), c * c1 * c2) for t1, c1 in v1.items()
                          for t2, c2 in v2.items()))
     return out
 

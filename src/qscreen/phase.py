@@ -27,6 +27,13 @@ enter (the constructors and `substitute_z`), and an integral Fraction that
 arithmetic yields later is harmless.  Coefficients are divided only through
 `_cdiv`, which stays exact where int / int would give a float.
 
+Almost every product met in practice is a monomial times a sum.  `_pmul`
+computes it by shifting the sum's keys, which cannot merge or cancel, and
+`__mul__` does not multiply two unit denominators.  Sums and products are
+built through `PhaseScalar._of`, which skips the strip and the unit fold
+that the public constructor applies to outside input: `_padd` and `_pmul`
+store no zero, and a one-term denominator is always exactly 1.
+
 The number of z slots (the arity) is fixed per computation: single modules
 use one slot per simple root, tensor squares use two.  Mixing arities is an
 error, never a silent coercion.
@@ -35,6 +42,7 @@ error, never a silent coercion.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -90,7 +98,20 @@ def _padd(p1: Poly, p2: Poly) -> Poly:
 def _pneg(p: Poly) -> Poly:
     return {k: -c for k, c in p.items()}
 
+
 def _pmul(p1: Poly, p2: Poly) -> Poly:
+    if len(p2) == 1:
+        p1, p2 = p2, p1
+    if len(p1) == 1:
+        # A monomial times a sum: shifting keys by one monomial is injective
+        # and nonzero times nonzero is nonzero, so nothing merges or cancels.
+        ((a0, m0), c0), = p1.items()
+        if any(m0):
+            return {(a + a0, tuple(map(add, m, m0))): c * c0
+                    for (a, m), c in p2.items()}
+        if a0 == 0 and c0 == 1:
+            return dict(p2)
+        return {(a + a0, m): c * c0 for (a, m), c in p2.items()}
     out: Poly = {}
     for (a1, m1), c1 in p1.items():
         for (a2, m2), c2 in p2.items():
@@ -195,7 +216,8 @@ class PhaseScalar:
             den = _one_poly(arity)
         elif len(den) == 1:
             # A single-monomial denominator is a unit: fold it away, unless
-            # it is already 1, as in every product of Laurent polynomials.
+            # it is already 1.  So a stored one-term denominator is always
+            # exactly 1.
             key, coeff = next(iter(den.items()))
             if coeff != 1 or key[0] != 0 or any(key[1]):
                 num = _pdiv_term(num, key, coeff)
@@ -204,11 +226,22 @@ class PhaseScalar:
         self.den = den
         self.arity = arity
 
+    @classmethod
+    def _of(cls, num: Poly, den: Poly, arity: int) -> "PhaseScalar":
+        """Build without `__init__`'s strip and fold: num stores no zero,
+        and den is exactly 1 or has two or more terms, as for every sum,
+        product and negation of scalars."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den if num else _one_poly(arity)
+        out.arity = arity
+        return out
+
     # ---- constructors ----
 
     @classmethod
     def zero(cls, arity: int) -> "PhaseScalar":
-        return cls({}, _one_poly(arity), arity)
+        return cls._of({}, _one_poly(arity), arity)
 
     @classmethod
     def one(cls, arity: int) -> "PhaseScalar":
@@ -218,7 +251,7 @@ class PhaseScalar:
     def from_rational(cls, c: Rational, arity: int) -> "PhaseScalar":
         c = _demote(Fraction(c))
         num = {} if c == 0 else {_zero_key(arity): c}
-        return cls(num, _one_poly(arity), arity)
+        return cls._of(num, _one_poly(arity), arity)
 
     @classmethod
     def monomial(cls, coeff: Rational, a: Rational, m: Sequence[int],
@@ -228,7 +261,7 @@ class PhaseScalar:
             raise ArityMismatchError(f"exponent vector {m} has arity {len(m)}, expected {arity}")
         coeff = _demote(Fraction(coeff))
         num = {} if coeff == 0 else {(_demote(Fraction(a)), m): coeff}
-        return cls(num, _one_poly(arity), arity)
+        return cls._of(num, _one_poly(arity), arity)
 
     def _coerce(self, other) -> "PhaseScalar":
         if isinstance(other, PhaseScalar):
@@ -255,14 +288,15 @@ class PhaseScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.den == other.den:
-            return PhaseScalar(_padd(self.num, other.num), self.den, self.arity)
+            return PhaseScalar._of(_padd(self.num, other.num), self.den,
+                                   self.arity)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return PhaseScalar(num, _pmul(self.den, other.den), self.arity)
+        return PhaseScalar._of(num, _pmul(self.den, other.den), self.arity)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhaseScalar(_pneg(self.num), self.den, self.arity)
+        return PhaseScalar._of(_pneg(self.num), self.den, self.arity)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,8 +311,11 @@ class PhaseScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PhaseScalar(_pmul(self.num, other.num),
-                           _pmul(self.den, other.den), self.arity)
+        if len(self.den) == len(other.den) == 1:
+            den = self.den  # both are the unit: see `__init__`
+        else:
+            den = _pmul(self.den, other.den)
+        return PhaseScalar._of(_pmul(self.num, other.num), den, self.arity)
 
     __rmul__ = __mul__
 
@@ -355,8 +392,8 @@ class PhaseScalar:
         specialization must report `denominator-vanishes`.
         """
         try:
-            return PhaseScalar(_pdiv_exact(self.num, self.den),
-                               _one_poly(self.arity), self.arity)
+            return PhaseScalar._of(_pdiv_exact(self.num, self.den),
+                                   _one_poly(self.arity), self.arity)
         except ValueError:
             return self
 
@@ -396,7 +433,7 @@ class PhaseScalar:
         if self.is_zero():
             return "0"
         num_s = render_poly(self.num)
-        if self.den == _one_poly(self.arity):
+        if len(self.den) == 1:
             if wrap and len(self.num) > 1:
                 return f"({num_s})"
             return num_s

@@ -116,6 +116,25 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_exits_two(capsys, tmp_path, target):
+    code, out, err = run(capsys, "verify", "--algebra", "sl2", "--depth", "2",
+                         "--output", str(tmp_path / target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_act_rejects_start_deeper_than_depth(capsys):
+    code, _, err = run(capsys, "act", "--algebra", "sl2", "--word", "E1",
+                       "--start", "1,1,1,1", "--depth", "2")
+    assert code == 2
+    assert err.startswith("error:")
+    code, out, _ = run(capsys, "act", "--algebra", "sl2", "--word", "E1",
+                       "--start", "1,1", "--depth", "2")
+    assert code == 0 and "U(1)" in out
+
+
 def test_serre_scan_json(capsys):
     code, out, _ = run(capsys, "serre-scan", "--algebra", "sl2_1",
                        "--multidegree", "0,2", "--format", "json")

@@ -1,8 +1,10 @@
-"""The per-context memo of generator images in `contour.apply_letter`.
+"""The per-context memos of generator images in `contour.apply_letter` and
+of factor images in `hopf.act_word_pair`.
 
-`apply_word` must agree with the uncached operators however the memo is
-warmed, must never hand out a memoized dict, and must stay scoped to one
-context, so that a clean sweep cannot leak images into a negative control.
+`apply_word` and `act_word_pair` must agree with the uncached operators
+however the memo is warmed, must never hand out a memoized dict, and must
+stay scoped to one context, so that a clean sweep cannot leak images into a
+negative control.
 """
 
 from dataclasses import replace
@@ -17,19 +19,28 @@ from qscreen.contour import (
     DepthExceededError,
     FaultInjection,
     ModuleContext,
+    accumulate,
     apply_cartan,
     apply_letter,
     apply_lowering,
     apply_raising,
     apply_word,
     parse_word,
+    seq_parity,
     state,
     vacuum,
     vec_add,
     vec_eq,
     vec_scale,
+    word_parity,
 )
-from qscreen.hopf import TensorContext, verify_relations
+from qscreen.hopf import (
+    TensorContext,
+    act_word_pair,
+    tensor_state,
+    verify_coproduct,
+    verify_relations,
+)
 from qscreen.phase import PhaseScalar, q_power
 from qscreen.rootdata import CATALOG, Weight
 
@@ -177,3 +188,102 @@ def test_tensor_factor_contexts_are_reused():
     scaled = vec_scale(tctx.left.q(2), state(tctx.left, (1,)))
     assert vec_eq(apply_word(tctx.left, parse_word("K1"), scaled),
                   direct(tctx.left, parse_word("K1"), scaled))
+
+
+# ---- factor images in the tensor square ----
+
+_TENSOR_CONTEXTS: dict = {}
+
+
+def shared_tensor_context(name: str, concrete: bool, fault) -> TensorContext:
+    key = (name, concrete, fault)
+    if key not in _TENSOR_CONTEXTS:
+        weights = ({"weight1": Weight.concrete(CONCRETE[name]),
+                    "weight2": Weight.concrete([-w for w in CONCRETE[name]])}
+                   if concrete else {})
+        faults = FaultInjection(**({fault: True} if fault else {}))
+        _TENSOR_CONTEXTS[key] = TensorContext(datum=CATALOG[name], depth=6,
+                                              faults=faults, **weights)
+    return _TENSOR_CONTEXTS[key]
+
+
+def direct_pair(tctx: TensorContext, w1, w2, tv):
+    """w1 (x) w2 composed from the uncached operators, state pair by pair."""
+    datum = tctx.datum
+    out: dict = {}
+    for (s1, s2), c in tv.items():
+        if (word_parity(datum, w2) and seq_parity(datum, s1)
+                and not tctx.faults.drop_interchange_sign):
+            c = -c
+        v2 = direct(tctx.right, w2, {s2: PhaseScalar.one(tctx.arity)})
+        for t1, c1 in direct(tctx.left, w1, {s1: c}).items():
+            accumulate(out, (((t1, t2), c1 * c2) for t2, c2 in v2.items()))
+    return out
+
+
+@st.composite
+def tensor_cases(draw):
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    tctx = shared_tensor_context(name, draw(st.booleans()),
+                                 draw(st.sampled_from(FAULTS)))
+    index = st.integers(0, tctx.datum.rank - 1)
+    letter = st.one_of(
+        st.tuples(st.sampled_from("EF"), index),
+        st.tuples(st.just("K"), index, st.sampled_from([1, -1])))
+    words = [tuple(draw(st.lists(letter, max_size=3))) for _ in range(2)]
+    seq = st.lists(index, max_size=3).map(tuple)
+    tv: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        coeff = (draw(st.integers(-3, 3).filter(bool))
+                 * q_power(Fraction(draw(st.integers(-2, 2)), 2), tctx.arity))
+        tv = vec_add(tv, {(draw(seq), draw(seq)): coeff})
+    return tctx, words, tv
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_cases())
+def test_word_pair_matches_uncached_composition(case):
+    tctx, (w1, w2), tv = case
+    before = dict(tv)
+    expected = direct_pair(tctx, w1, w2, tv)
+    first = act_word_pair(tctx, w1, w2, tv)
+    second = act_word_pair(tctx, w1, w2, tv)  # every factor image is a hit
+    assert vec_eq(first, expected)
+    assert vec_eq(second, expected)
+    assert tv == before
+
+
+def test_clean_coproduct_does_not_leak_into_negative_control():
+    datum = CATALOG["sl2_1"]
+    assert verify_coproduct(datum, 2).passed
+    swapped = FaultInjection(drop_interchange_sign=True)
+    assert not verify_coproduct(datum, 2, faults=swapped).passed
+
+
+def test_tensor_memo_is_scoped_to_one_context():
+    datum = CATALOG["sl2_1"]
+    w1, w2 = parse_word("E2 F1"), parse_word("F2")
+    tv = tensor_state(TensorContext(datum=datum), (1, 0), (1,))
+    first, second = TensorContext(datum=datum), TensorContext(datum=datum)
+    warm = act_word_pair(first, w1, w2, tv)
+    assert first._images and not second._images
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert vec_eq(act_word_pair(second, w1, w2, tv), warm)
+    flipped = replace(first, faults=FaultInjection(flip_raising_prefactor=True))
+    assert not flipped._images
+    assert not vec_eq(act_word_pair(flipped, w1, w2, tv), warm)
+
+
+def test_word_pair_returns_fresh_vectors():
+    tctx = TensorContext(datum=CATALOG["sl2"], depth=3)
+    tv = tensor_state(tctx, (0,), (0, 0))
+    for w1, w2 in ((parse_word("E1"), parse_word("K1")),
+                   (parse_word("F1"), ()), ((), parse_word("K1- E1"))):
+        expected = direct_pair(tctx, w1, w2, tv)
+        got = act_word_pair(tctx, w1, w2, tv)
+        for key in list(got):
+            got[key] = PhaseScalar.zero(tctx.arity)
+        got[((0, 0), ())] = PhaseScalar.one(tctx.arity)
+        assert vec_eq(act_word_pair(tctx, w1, w2, tv), expected)
+        assert all(image is not got for image in tctx._images.values())

@@ -370,3 +370,70 @@ def test_fraction_keys_equal_int_keys():
     assert built == 3 * q_power(2, 1)
     assert built.num == (3 * q_power(2, 1)).num
     assert str(built) == "3·q^2"
+
+
+# ---- monomial fast paths ----
+
+def _mixed_sums(arity, min_size, max_size):
+    """Raw sums with int or Fraction coefficients and integral, half or
+    third q-exponents."""
+    key = st.tuples(q_exps, st.tuples(*[small_ints] * arity))
+    return st.dictionaries(key, coeffs, min_size=min_size, max_size=max_size)
+
+
+def _pmul_reference(p1, p2):
+    """The plain double loop, merging equal keys and dropping zeros."""
+    out = {}
+    for (a1, m1), c1 in p1.items():
+        for (a2, m2), c2 in p2.items():
+            k = (a1 + a2, tuple(x + y for x, y in zip(m1, m2)))
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+@st.composite
+def pmul_operands(draw):
+    arity = draw(st.integers(0, 2))
+    monomial, many = _mixed_sums(arity, 1, 1), _mixed_sums(arity, 0, 4)
+    shape = draw(st.sampled_from(["1xn", "nx1", "nxn"]))
+    return (draw(monomial if shape == "1xn" else many),
+            draw(monomial if shape == "nx1" else many))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pmul_operands())
+def test_pmul_matches_the_double_loop(operands):
+    p1, p2 = operands
+    before = (dict(p1), dict(p2))
+    product = _pmul(p1, p2)
+    assert product == _pmul_reference(p1, p2)
+    assert all(c != 0 for c in product.values())
+    assert (p1, p2) == before
+
+
+def _assert_canonical(x):
+    """No stored zero; a zero or one-term denominator is exactly 1, which
+    `render` and the `den == den` shortcut of `==` rely on."""
+    unit = {(0, (0,) * x.arity): 1}
+    assert all(c != 0 for p in (x.num, x.den) for c in p.values())
+    if len(x.den) == 1 or not x.num:
+        assert x.den == unit
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(scalars(n), scalars(n))))
+def test_results_store_no_zero_and_a_unit_denominator_is_one(pair):
+    a, b = pair
+    results = [a + b, a - b, a * b, -a, a - a, a + (-a), a * 0]
+    if not b.is_zero():
+        results += [a / b, b.invert(), b / b]
+    for x in results:
+        _assert_canonical(x)
+
+
+def test_constructor_strips_and_folds_outside_input():
+    x = PhaseScalar({(0, (0,)): 0, (1, (1,)): Fraction(3)},
+                    {(2, (0,)): 2, (5, (1,)): 0}, 1)
+    _assert_canonical(x)
+    assert x.num == {(-1, (1,)): Fraction(3, 2)}
+    _assert_canonical(PhaseScalar({(1, (0,)): 0}, {(2, (1,)): 2, (3, (0,)): 1}, 1))
