@@ -12,6 +12,7 @@ Usage:
 import argparse
 import sys
 import time
+from dataclasses import fields
 
 from qscreen import CATALOG, FaultInjection
 from qscreen.hopf import verify_coproduct, verify_hopf_axioms, verify_relations
@@ -45,8 +46,7 @@ def main() -> int:
                     print(f"      {rec.identity} at {rec.counterexample['basis']}")
 
     print("== negative controls ==")
-    for fault_name in ("drop_hat_parity", "drop_interchange_sign",
-                       "flip_raising_prefactor"):
+    for fault_name in (f.name for f in fields(FaultInjection)):
         faults = FaultInjection(**{fault_name: True})
         broken = []
         for name, datum in CATALOG.items():

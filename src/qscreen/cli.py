@@ -15,6 +15,7 @@ QSCREEN_FORMAT environment variable).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -41,11 +42,11 @@ from .hopf import (
     verify_relations,
 )
 from .rootdata import ConfigError, RootDatum, Weight, resolve_algebra
-from .serre import singular_scan, specialize_scan
+from .serre import residuals_vanish, singular_scan, specialize_scan
 from .phase import DenominatorVanishesError
 
 MAX_DEPTH = 12
-FAULT_NAMES = ("drop_hat_parity", "drop_interchange_sign", "flip_raising_prefactor")
+FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
 
 
 class UsageError(Exception):
@@ -100,6 +101,22 @@ def check_depth(depth: int, force: bool) -> int:
 def build_faults(names) -> FaultInjection:
     flags = {name: True for name in (names or [])}
     return FaultInjection(**flags)
+
+
+def check_output(path: str) -> None:
+    """Fail before any work when the --output file cannot be written.
+
+    Opening for append neither truncates an existing file nor changes its
+    contents; a file that the check itself created is removed again.
+    """
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise UsageError(f"cannot write --output: {exc}") from exc
+    if not existed:
+        os.remove(path)
 
 
 def emit(payload, args, text_form: str) -> None:
@@ -236,9 +253,8 @@ def cmd_serre_scan(args) -> int:
             text += f"\nspecialized at ({spec['weight']}): {spec['status']}"
         payload["specializations"] = specs
     emit(payload, args, text)
-    bad = any(v != "0" for checks in result.residuals for v in checks.values())
-    bad = bad or any(spec["status"] == "residual-nonzero"
-                     for spec in specs)
+    bad = not residuals_vanish(result.residuals) or any(
+        spec["status"] == "residual-nonzero" for spec in specs)
     return 1 if bad else 0
 
 
@@ -274,15 +290,11 @@ def load_algebra(args) -> RootDatum:
         raise UsageError(str(exc)) from exc
 
 
-def add_common(parser: argparse.ArgumentParser, *, depth_default: int = 4):
+def add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--algebra", default="sl2",
                         help="catalog name (sl2, sl3, sl2_1, osp1_2) or a .json path")
     parser.add_argument("--config", default=None,
                         help="path to an algebra config JSON (overrides --algebra)")
-    parser.add_argument("--depth", type=int, default=depth_default,
-                        help=f"contour depth cap, 1..{MAX_DEPTH}")
-    parser.add_argument("--force-depth", action="store_true",
-                        help=f"allow depths beyond {MAX_DEPTH}")
     parser.add_argument("--format", choices=("text", "json"),
                         default=os.environ.get("QSCREEN_FORMAT", "text"),
                         help="output format (default from QSCREEN_FORMAT)")
@@ -291,6 +303,17 @@ def add_common(parser: argparse.ArgumentParser, *, depth_default: int = 4):
     parser.add_argument("--inject-fault", action="append",
                         choices=FAULT_NAMES, default=None,
                         help="sabotage one sign convention (negative controls)")
+
+
+def add_depth_cap(parser: argparse.ArgumentParser, *,
+                  depth_default: int | None = None):
+    """--force-depth, and --depth for the subcommands that sweep states."""
+    if depth_default is not None:
+        parser.add_argument("--depth", type=int, default=depth_default,
+                            help=f"contour depth cap, 1..{MAX_DEPTH}")
+    parser.add_argument("--force-depth", action="store_true",
+                        help=f"allow depths (or a scan's total degree) "
+                             f"beyond {MAX_DEPTH}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     add_common(p)
+    add_depth_cap(p, depth_default=4)
     p.add_argument("--suite", choices=("relations", "coproduct", "hopf",
                                        "hopf-axioms", "all"),
                    default="all")
@@ -315,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("act", help="apply a generator word to a state")
-    add_common(p, depth_default=8)
+    add_common(p)
+    add_depth_cap(p, depth_default=8)
     p.add_argument("--word", required=True,
                    help="generator tokens, e.g. 'E1 F1 K2-'")
     p.add_argument("--start", default="",
@@ -325,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serre-scan", help="scan a multidegree for singular vectors")
     add_common(p)
+    add_depth_cap(p)
     p.add_argument("--multidegree", required=True,
                    help="comma-separated lowering counts per simple root, e.g. '2,1'")
     p.add_argument("--weight", default="generic",
@@ -348,11 +374,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            check_output(args.output)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, DenominatorVanishesError) as exc:
+    except (UsageError, ConfigError, DenominatorVanishesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,14 +28,16 @@ is a signed power of q, so `apply_raising_hat` carries it as a plain
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.
 
-`apply_letter` (and so `apply_word`) memoizes the image of each basis state
-under E_j and K_j^{+-1} in the context it acts in.  The memo lives and dies
-with that one `ModuleContext` instance, whose fields (weight, depth, faults)
-fix every image; it holds at most one image per (letter, state), that is
-letters times the depth-capped basis.  F_j is not memoized: it is a plain
-prepend, cheaper than a lookup, and it must raise `DepthExceededError` on
-every overflow.  `apply_raising_hat` and `apply_raising` stay uncached, so
-the scanner and the closed-form coproduct check never read the memo.
+Each `ModuleContext` owns one memo of images, read through `word_image`:
+the image of the unit state at a basis state under a word, one per (word,
+state).  It lives and dies with that one instance, whose fields (weight,
+depth, faults) fix every image.  `apply_letter` (and so `apply_word`)
+reads it for E_j and K_j^{+-1}; the tensor sweep of `hopf` reads it for
+the words of its coproduct terms.  `apply_letter` does not memoize F_j: it
+is a plain prepend, cheaper than a lookup, and it must raise
+`DepthExceededError` on every overflow.  `apply_raising_hat` and
+`apply_raising` stay uncached, so the scanner and the closed-form
+coproduct check never read the memo.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class ModuleContext:
     arity: int = -1  # -1: use the rank
     z_offset: int = 0
     faults: FaultInjection = NO_FAULTS
-    # (letter, seq) -> image of the unit state; see the module docstring.
+    # (word, seq) -> image of the unit state; see `word_image`.
     _images: dict = field(default_factory=dict, init=False, compare=False,
                           hash=False, repr=False)
 
@@ -110,9 +112,6 @@ class ModuleContext:
             raise ValueError("weight coordinate count does not match rank")
 
     # ---- scalar builders ----
-
-    def scalar(self, c) -> PhaseScalar:
-        return PhaseScalar.from_rational(c, self.arity)
 
     def q(self, a) -> PhaseScalar:
         return q_power(a, self.arity)
@@ -247,16 +246,25 @@ def apply_raising(ctx: ModuleContext, j: int, v: Vector) -> Vector:
     return apply_cartan(ctx, j, apply_raising_hat(ctx, j, v))
 
 
-def _image(ctx: ModuleContext, letter: Letter, seq: Seq) -> Vector:
-    """The image of the unit state at seq under E_j or K_j^{+-1}, memoized."""
-    image = ctx._images.get((letter, seq))
+def word_image(ctx: ModuleContext, word: Word, seq: Seq) -> Vector:
+    """The image of the unit state at seq under word, memoized in ctx.
+
+    A one-letter E_j or K_j^{+-1} word comes from `apply_raising` or
+    `apply_cartan`; any other word, a lone F_j included, goes through
+    `apply_word`.  Callers build fresh scalars from the stored image and
+    never hand it out.
+    """
+    image = ctx._images.get((word, seq))
     if image is None:
         unit = {seq: PhaseScalar.one(ctx.arity)}
-        if letter[0] == "E":
-            image = apply_raising(ctx, letter[1], unit)
+        kind = word[0][0] if len(word) == 1 else None
+        if kind == "E":
+            image = apply_raising(ctx, word[0][1], unit)
+        elif kind == "K":
+            image = apply_cartan(ctx, word[0][1], unit, sign=word[0][2])
         else:
-            image = apply_cartan(ctx, letter[1], unit, sign=letter[2])
-        ctx._images[(letter, seq)] = image
+            image = apply_word(ctx, word, unit)
+        ctx._images[(word, seq)] = image
     return image
 
 
@@ -266,9 +274,9 @@ def apply_letter(ctx: ModuleContext, letter: Letter, v: Vector) -> Vector:
         return apply_lowering(ctx, letter[1], v)
     if kind not in ("E", "K"):
         raise ValueError(f"unknown generator letter {letter!r}")
-    # A fresh dict of fresh scalars: a memoized image is never handed out.
+    word = (letter,)
     return accumulate({}, ((t, c * x) for seq, c in v.items()
-                           for t, x in _image(ctx, letter, seq).items()))
+                           for t, x in word_image(ctx, word, seq).items()))
 
 
 def apply_word(ctx: ModuleContext, word: Word, v: Vector) -> Vector:

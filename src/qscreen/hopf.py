@@ -26,11 +26,14 @@ basis state and keeps it as a counterexample, rendered exactly by
 
 The tensor sweep acts by a word pair w1 (x) w2 on every pair of factor
 states, but each factor image depends on one factor state only.
-`act_word_pair` therefore memoizes the image of each (side, word, state)
-in the `TensorContext`, and builds each pair's image as a product of two
-stored images: N factor images per sweep rather than N² pair images.  Like
-the generator memo of `contour`, it lives and dies with the one context
-whose fields fix every image.
+`act_word_pair` therefore reads the image of each (word, state) from the
+memo of its factor's `ModuleContext` (`contour.word_image`), and builds
+each pair's image as a product of two stored images: N factor images per
+sweep rather than N² pair images.  The `TensorContext` keeps one pair of
+factor contexts, so the memo lives and dies with it.
+
+Algebra elements and tensor-module vectors are sparse dicts like module
+vectors, so the sums and scalings of `contour` serve them too.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .contour import (
@@ -59,10 +61,11 @@ from .contour import (
     vec_add,
     vec_eq,
     vec_scale,
+    word_image,
     word_parity,
     word_token,
 )
-from .phase import PhaseScalar, q_power
+from .phase import PhaseScalar, exp_token, q_power
 from .rootdata import RootDatum, Weight
 
 # Sparse algebra element: word -> coefficient.
@@ -73,19 +76,7 @@ TensorElement = dict[tuple[Word, Word], PhaseScalar]
 TensorVector = dict[tuple[Seq, Seq], PhaseScalar]
 
 
-# Algebra elements and tensor-module vectors are sparse dicts like module
-# vectors, so the module-vector sums serve them too.
-elem_add = vec_add
-tvec_eq = vec_eq
-
-
 # ---- algebra elements ----
-
-def elem_scale(c: PhaseScalar, e: AlgebraElement) -> AlgebraElement:
-    if c.is_zero():
-        return {}
-    return {w: c * x for w, x in e.items()}
-
 
 def elem_mul(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
     return accumulate({}, ((w1 + w2, c1 * c2) for w1, c1 in e1.items()
@@ -170,8 +161,8 @@ def antipode_word(datum: RootDatum, word: Word, arity: int) -> AlgebraElement:
     out: AlgebraElement = {(): PhaseScalar.one(arity)}
     for k, letter in enumerate(word):
         sign = -1 if letter_parity(datum, letter) and word_parity(datum, word[k + 1:]) else 1
-        piece = elem_scale(PhaseScalar.from_rational(sign, arity),
-                           antipode_letter(letter, arity))
+        piece = vec_scale(PhaseScalar.from_rational(sign, arity),
+                          antipode_letter(letter, arity))
         out = elem_mul(piece, out)
     return out
 
@@ -192,17 +183,13 @@ class TensorContext:
     weight2: Weight = field(default_factory=Weight.generic)
     depth: int = 4
     faults: FaultInjection = NO_FAULTS
-    # (side, word, seq) -> image of the unit state under one tensor factor;
-    # see `act_word_pair`.
-    _images: dict = field(default_factory=dict, init=False, compare=False,
-                          hash=False, repr=False)
 
     @property
     def arity(self) -> int:
         return 2 * self.datum.rank
 
     # One pair of factor contexts per tensor context, so that a sweep reuses
-    # their memoized generator images (see `contour`).
+    # their memoized images (see `contour.word_image`).
     @cached_property
     def left(self) -> ModuleContext:
         return ModuleContext(datum=self.datum, weight=self.weight1,
@@ -220,24 +207,12 @@ def tensor_state(tctx: TensorContext, s1: Seq, s2: Seq) -> TensorVector:
     return {(tuple(s1), tuple(s2)): PhaseScalar.one(tctx.arity)}
 
 
-def _factor_image(tctx: TensorContext, side: int, word: Word,
-                  seq: Seq) -> Vector:
-    """The image of the unit state at seq under word, acting on the left
-    (side 0) or right (side 1) factor; memoized in the tensor context."""
-    key = (side, word, seq)
-    image = tctx._images.get(key)
-    if image is None:
-        ctx = tctx.right if side else tctx.left
-        image = apply_word(ctx, word, {seq: PhaseScalar.one(tctx.arity)})
-        tctx._images[key] = image
-    return image
-
-
 def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
                   tv: TensorVector) -> TensorVector:
     """Act by w1 (x) w2, sliding w2 past the left factor with a super sign.
 
-    Factor images come from the context's memo; see the module docstring.
+    Factor images come from the factor contexts' memos; see the module
+    docstring.
     """
     datum = tctx.datum
     p2 = word_parity(datum, w2)
@@ -245,11 +220,10 @@ def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
     for (s1, s2), c in tv.items():
         if p2 and seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign:
             c = -c
-        v1 = _factor_image(tctx, 0, w1, s1)
+        v1 = word_image(tctx.left, w1, s1)
         if not v1:
             continue
-        v2 = _factor_image(tctx, 1, w2, s2)
-        # A fresh dict of fresh scalars: a memoized image is never handed out.
+        v2 = word_image(tctx.right, w2, s2)
         accumulate(out, (((t1, t2), c * c1 * c2) for t1, c1 in v1.items()
                          for t2, c2 in v2.items()))
     return out
@@ -331,10 +305,6 @@ def braid_phase(datum: RootDatum, weight1: Weight, seq1: Seq,
 
 # ---- the defining relations, as algebra elements ----
 
-def _exp_token(x: Fraction) -> str:
-    return str(x) if x.denominator == 1 else f"({x})"
-
-
 def defining_relations(datum: RootDatum, arity: int):
     """Yield (name, element) pairs that must act as zero on every state."""
     one = PhaseScalar.one(arity)
@@ -351,9 +321,9 @@ def defining_relations(datum: RootDatum, arity: int):
         for j in range(r):
             n = datum.pair(i, j)
             ej, fj = ("E", j), ("F", j)
-            yield (f"K{i+1} E{j+1} = q^{_exp_token(n)} E{j+1} K{i+1}",
+            yield (f"K{i+1} E{j+1} = q^{exp_token(n)} E{j+1} K{i+1}",
                    {(ki, ej): one, (ej, ki): -q_power(n, arity)})
-            yield (f"K{i+1} F{j+1} = q^{_exp_token(-n)} F{j+1} K{i+1}",
+            yield (f"K{i+1} F{j+1} = q^{exp_token(-n)} F{j+1} K{i+1}",
                    {(ki, fj): one, (fj, ki): -q_power(-n, arity)})
     for i in range(r):
         for j in range(r):
@@ -365,10 +335,10 @@ def defining_relations(datum: RootDatum, arity: int):
             if i == j:
                 d = datum.symmetrizer(i)
                 denom = q_power(d, arity) - q_power(-d, arity)
-                rel = elem_add(rel, {(("K", i, 1),): -1 / denom,
-                                     (("K", i, -1),): 1 / denom})
+                rel = vec_add(rel, {(("K", i, 1),): -1 / denom,
+                                    (("K", i, -1),): 1 / denom})
                 name = (f"E{i+1} F{i+1} {op} F{i+1} E{i+1} = "
-                        f"(K{i+1} - K{i+1}-)/(q^{_exp_token(d)} - q^{_exp_token(-d)})")
+                        f"(K{i+1} - K{i+1}-)/(q^{exp_token(d)} - q^{exp_token(-d)})")
             else:
                 name = f"E{i+1} F{j+1} {op} F{j+1} E{i+1} = 0"
             yield (name, rel)
@@ -569,9 +539,9 @@ def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
         gamma_left: AlgebraElement = {}
         gamma_right: AlgebraElement = {}
         for (w1, w2), c in te.items():
-            accumulate(gamma_left, elem_scale(c, elem_mul(
+            accumulate(gamma_left, vec_scale(c, elem_mul(
                 antipode_word(datum, w1, arity), {w2: one})).items())
-            accumulate(gamma_right, elem_scale(c, elem_mul(
+            accumulate(gamma_right, vec_scale(c, elem_mul(
                 {w1: one}, antipode_word(datum, w2, arity))).items())
         eps = counit_word((letter,), arity)
         report.records.append(_sweep(f"antipode laws on {tok}", (

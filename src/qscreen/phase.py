@@ -14,9 +14,7 @@ A sum is stored as a sparse dict mapping the monomial key (a, m) to its
 nonzero rational coefficient; the zero sum is the empty dict.  Because the
 key group Q x Z^N is ordered, the sums form an integral domain, so the
 quotients below are a genuine fraction field and equality can be decided by
-cross-multiplication.  No gcd over these sums is ever computed: `normalize`
-only fixes the unit ambiguity (a common monomial factor and a common rational
-scale), which is enough to make canonical forms reproducible.
+cross-multiplication.  No gcd over these sums is ever computed.
 
 Each q-exponent a and coefficient c is an int, or a Fraction when
 non-integral.  Almost every value in play is integral, and int arithmetic
@@ -43,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -201,8 +199,8 @@ class PhaseScalar:
     """An element of the fraction field of phase sums.
 
     Instances are immutable by convention; all operations return new values.
-    The stored pair (num, den) is canonical only up to units: `normalize`
-    fixes the unit, `==` compares by cross-multiplication.
+    The stored pair (num, den) is not canonical: `==` compares by
+    cross-multiplication.
     """
 
     __slots__ = ("num", "den", "arity")
@@ -277,9 +275,6 @@ class PhaseScalar:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_one(self) -> bool:
-        return self == PhaseScalar.one(self.arity)
 
     # ---- arithmetic ----
 
@@ -362,26 +357,7 @@ class PhaseScalar:
 
     __hash__ = None  # mutable dicts inside; equality is semantic anyway
 
-    # ---- normal form ----
-
-    def normalize(self) -> "PhaseScalar":
-        """Return the unit-canonical representative of this value.
-
-        The numerator and denominator are divided by the denominator's
-        leading term (leading under `term_order`), so the denominator's
-        leading monomial becomes exactly 1.  Two representations that differ
-        by a common monomial factor and a common rational scale normalize to
-        identical (num, den) pairs.
-        """
-        if self.is_zero():
-            return PhaseScalar.zero(self.arity)
-        lead = min(self.den, key=term_order)
-        coeff = self.den[lead]
-        out = PhaseScalar.__new__(PhaseScalar)
-        out.num = _pdiv_term(self.num, lead, coeff)
-        out.den = _pdiv_term(self.den, lead, coeff)
-        out.arity = self.arity
-        return out
+    # ---- exact quotient ----
 
     def reduce_exact(self) -> "PhaseScalar":
         """This value as a Laurent polynomial when its denominator divides
@@ -465,7 +441,7 @@ def _render_monomial(c: Rational, key: Key) -> str:
     a, m = key
     factors: list[str] = []
     if a != 0:
-        factors.append("q" if a == 1 else f"q^{_render_exp(a)}")
+        factors.append("q" if a == 1 else f"q^{exp_token(a)}")
     for slot, e in enumerate(m):
         if e != 0:
             name = f"z{slot + 1}"
@@ -475,7 +451,8 @@ def _render_monomial(c: Rational, key: Key) -> str:
     return "·".join(factors)
 
 
-def _render_exp(a: Rational) -> str:
+def exp_token(a: Rational) -> str:
+    """A q-exponent as written after `q^`: parenthesized when non-integral."""
     return str(a) if a.denominator == 1 else f"({a})"
 
 

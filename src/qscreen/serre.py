@@ -33,7 +33,7 @@ replaced by its exact Laurent quotient whenever v_lead divides it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Sequence
 
 from .contour import (
     FaultInjection,
@@ -44,7 +44,6 @@ from .contour import (
     apply_raising_hat,
     lowering_word,
     render_vector,
-    vec_is_zero,
     word_token,
 )
 from .phase import (
@@ -154,14 +153,7 @@ class ScanResult:
         return len(self.basis)
 
     def basis_as_tokens(self) -> list[dict[str, str]]:
-        out = []
-        for vec in self.basis:
-            entry = {}
-            for word, coeff in zip(self.words, vec):
-                if not coeff.is_zero():
-                    entry[word_token(lowering_word(word))] = coeff.render()
-            out.append(entry)
-        return out
+        return [vector_tokens(self.words, vec) for vec in self.basis]
 
     def to_json(self) -> dict:
         return {
@@ -182,10 +174,23 @@ class ScanResult:
             for token, coeff in entry.items():
                 lines.append(f"    {token}: {coeff}")
         for k, checks in enumerate(self.residuals):
-            status = "ok" if all(v == "0" for v in checks.values()) else "NONZERO"
+            status = "ok" if residuals_vanish([checks]) else "NONZERO"
             lines.append(f"  residuals of vector {k + 1}: {status} "
                          + " ".join(f"{g}={v}" for g, v in checks.items()))
         return "\n".join(lines)
+
+
+def vector_tokens(words: Sequence[Seq],
+                  vec: Sequence[PhaseScalar]) -> dict[str, str]:
+    """A kernel vector as {lowering word token: rendered coefficient},
+    zero coordinates left out."""
+    return {word_token(lowering_word(w)): c.render()
+            for w, c in zip(words, vec) if not c.is_zero()}
+
+
+def residuals_vanish(residuals: Iterable[dict[str, str]]) -> bool:
+    """Whether every residual check, of every vector, printed `0`."""
+    return all(v == "0" for checks in residuals for v in checks.values())
 
 
 def _scan_context(datum: RootDatum, multidegree, weight, faults) -> ModuleContext:
@@ -249,11 +254,8 @@ def residual_checks(datum: RootDatum, words: list[Seq],
         md[j] += 1
     ctx = _scan_context(datum, md, weight, faults)
     v = {w: c for w, c in zip(words, vec) if not c.is_zero()}
-    out = {}
-    for j in range(datum.rank):
-        image = apply_raising(ctx, j, v)
-        out[f"E{j+1}"] = "0" if vec_is_zero(image) else render_vector(image)
-    return out
+    return {f"E{j+1}": render_vector(apply_raising(ctx, j, v))
+            for j in range(datum.rank)}
 
 
 def specialize_vector(vec: Sequence[PhaseScalar],
@@ -287,10 +289,7 @@ def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
                 "detail": str(exc)}
     residuals = [residual_checks(datum, result.words, vec, weight, faults)
                  for vec in basis]
-    ok = all(v == "0" for checks in residuals for v in checks.values())
-    return {"weight": label, "status": "ok" if ok else "residual-nonzero",
-            "basis": [
-                {word_token(lowering_word(w)): c.render()
-                 for w, c in zip(result.words, vec) if not c.is_zero()}
-                for vec in basis],
+    return {"weight": label,
+            "status": "ok" if residuals_vanish(residuals) else "residual-nonzero",
+            "basis": [vector_tokens(result.words, vec) for vec in basis],
             "residual_checks": residuals}

@@ -1,10 +1,15 @@
+import argparse
 import json
 import pickle
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from qscreen.cli import main
+from qscreen.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -125,6 +130,41 @@ def test_unwritable_output_exits_two(capsys, tmp_path, target):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algebra", "sl3", "--suite", "all", "--depth", "4"),
+    ("serre-scan", "--algebra", "sl3", "--multidegree", "2,1",
+     "--specialize", "1,7"),
+    ("act", "--algebra", "sl2", "--word", "E1 F1"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
+                                                 tmp_path, argv):
+    from qscreen import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --output was checked")
+
+    for name in ("run_suite", "singular_scan", "apply_word"):
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run(capsys, *argv, "--output",
+                         str(tmp_path / "missing" / "report.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --output")
+
+
+def test_failing_command_leaves_output_untouched(capsys, tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        code, _, err = run(capsys, "verify", "--algebra", "sl2", "--weight",
+                           "1,banana", "--output", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
 def test_act_rejects_start_deeper_than_depth(capsys):
     code, _, err = run(capsys, "act", "--algebra", "sl2", "--word", "E1",
                        "--start", "1,1,1,1", "--depth", "2")
@@ -223,7 +263,7 @@ def test_config_file_path(capsys, tmp_path):
 
 
 def test_readme_config_example_runs(capsys, tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     example = readme.split("**Algebra config**")[1].split("```json\n")[1]
     example = example.split("```")[0]
     cfg = tmp_path / "alg.json"
@@ -378,3 +418,45 @@ def test_serre_scan_exits_one_on_nonzero_specialized_residual(capsys,
                        "--multidegree", "2,1", "--specialize", "1,7")
     assert code == 1
     assert out.endswith("specialized at (1,7): residual-nonzero\n")
+
+
+def test_option_surface_is_pinned():
+    """Every option string each subcommand accepts, so a new option shows
+    up here as a test diff.  `serre-scan` takes no `--depth`, and `braid`
+    neither `--depth` nor `--force-depth`: each would be ignored."""
+    parser = build_parser()
+
+    def options(p):
+        return sorted(s for action in p._actions for s in action.option_strings)
+
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    common = ["--algebra", "--config", "--format", "--help", "--inject-fault",
+              "--output", "-h"]
+    assert options(parser) == ["--help", "-h"]
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "verify": sorted(common + ["--depth", "--force-depth", "--suite",
+                                   "--weight", "--weight2", "--workers"]),
+        "act": sorted(common + ["--depth", "--force-depth", "--word",
+                                "--start", "--weight"]),
+        "serre-scan": sorted(common + ["--force-depth", "--multidegree",
+                                       "--weight", "--specialize"]),
+        "braid": sorted(common + ["--weight1", "--weight2", "--seq1",
+                                  "--seq2"]),
+    }
+
+
+def readme_examples() -> list[list[str]]:
+    """The argv of every `qscreen ...` line in the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("qscreen ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(),
+                         ids=lambda argv: f"{argv[0]}-{argv[2]}")
+def test_readme_examples_run_as_documented(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == (1 if "--inject-fault" in argv else 0), err
+    if argv[0] == "act" and "--weight" in argv:
+        assert json.loads(out)["result"]["U(1,2)"] == "-1"

@@ -1,11 +1,19 @@
-"""Golden reports: the rendered counterexamples of the verification suites.
+"""Golden reports: byte-for-byte output of `verify`, `serre-scan` and `act`.
 
-Each case is one `verify` command whose report carries counterexamples, so
-together the cases pin the counterexample sweep and every renderer byte for
-byte.  The three negative controls cover module vectors and tensor-square
-vectors.  The formal Hopf axioms never fail under a fault, so one more case
-runs the `hopf` suite with a skewed coproduct table, which breaks
-coassociativity, the counit laws and the antipode laws at once.
+Each case is one CLI command and the exit code it must return.  The
+`verify` cases carry counterexamples, so together they pin the
+counterexample sweep and every renderer.  The three negative controls cover
+module vectors and tensor-square vectors.  The formal Hopf axioms never
+fail under a fault, so one more case runs the `hopf` suite with a skewed
+coproduct table, which breaks coassociativity, the counit laws and the
+antipode laws at once.
+
+The `serre-scan` cases pin a generic kernel with one `denominator-vanishes`
+and one `ok` specialization, a concrete-weight kernel of exact Laurent
+quotients, and a half-integer (`osp1_2`) kernel.  One scan solves a matrix
+blind to `E1`, so its kernel is wrong and both the scan's residuals and its
+specialization report the failure (`NONZERO`, `residual-nonzero`, exit 1).
+The `act` cases pin one word at generic and at concrete weight.
 
 The expected files under `tests/golden/` are the command's stdout.  To
 regenerate one, run `python tests/test_golden.py` with `src` on the path and
@@ -16,12 +24,13 @@ from pathlib import Path
 
 import pytest
 
-from qscreen import hopf
+from qscreen import hopf, serre
 from qscreen.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FAULTS = ("drop_hat_parity", "drop_interchange_sign", "flip_raising_prefactor")
 _coproduct_letter = hopf.coproduct_letter
+_apply_raising_hat = serre.apply_raising_hat
 
 
 def skewed_coproduct_letter(letter, arity):
@@ -33,27 +42,51 @@ def skewed_coproduct_letter(letter, arity):
     return out
 
 
+def raising_hat_blind_to_e1(ctx, j, v, **kwargs):
+    """The scanner's cleared raising matrix with every E1 row left out."""
+    return {} if j == 0 else _apply_raising_hat(ctx, j, v, **kwargs)
+
+
+SKEW = (hopf, "coproduct_letter", skewed_coproduct_letter)
+BLIND = (serre, "apply_raising_hat", raising_hat_blind_to_e1)
+
+
 def cases():
-    """(file stem, argv, whether to skew the coproduct table)."""
+    """(file stem, argv, patch or None, expected exit code)."""
     base = ["verify", "--algebra", "sl2_1", "--depth", "2"]
     for fault in FAULTS:
         yield (f"verify_sl2_1_d2_{fault}",
-               base + ["--suite", "all", "--inject-fault", fault], False)
-    yield ("verify_sl2_1_d2_skewed_coproduct", base + ["--suite", "hopf"], True)
+               base + ["--suite", "all", "--inject-fault", fault], None, 1)
+    yield ("verify_sl2_1_d2_skewed_coproduct", base + ["--suite", "hopf"],
+           SKEW, 1)
+    sl3_21 = ["serre-scan", "--algebra", "sl3", "--multidegree", "2,1"]
+    yield ("scan_sl3_2_1_specialized",
+           sl3_21 + ["--specialize", "1,2", "--specialize", "1,7"], None, 0)
+    yield ("scan_sl2_1_2_2_concrete",
+           ["serre-scan", "--algebra", "sl2_1", "--multidegree", "2,2",
+            "--weight=-7/2,-5/3"], None, 0)
+    yield ("scan_osp1_2_4",
+           ["serre-scan", "--algebra", "osp1_2", "--multidegree", "4"], None, 0)
+    yield ("scan_sl3_2_1_blind_to_e1", sl3_21 + ["--specialize", "1,7"],
+           BLIND, 1)
+    act = ["act", "--algebra", "sl2_1", "--word", "E2 F2 E1 F1",
+           "--start", "2,1"]
+    yield ("act_sl2_1_generic", act, None, 0)
+    yield ("act_sl2_1_concrete", act + ["--weight", "1/2,3"], None, 0)
 
 
-def run_case(argv, skew, fmt):
+def run_case(argv, patch, fmt):
     with pytest.MonkeyPatch.context() as mp:
-        if skew:
-            mp.setattr(hopf, "coproduct_letter", skewed_coproduct_letter)
+        if patch:
+            mp.setattr(*patch)
         return main(argv + ["--format", fmt])
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("stem, argv, skew", list(cases()),
+@pytest.mark.parametrize("stem, argv, patch, code", list(cases()),
                          ids=[c[0] for c in cases()])
-def test_verify_report_matches_golden(capsys, stem, argv, skew, fmt):
-    assert run_case(argv, skew, fmt) == 1
+def test_verify_report_matches_golden(capsys, stem, argv, patch, code, fmt):
+    assert run_case(argv, patch, fmt) == code
     assert capsys.readouterr().out == (GOLDEN / f"{stem}.{fmt}").read_text()
 
 
@@ -62,9 +95,9 @@ if __name__ == "__main__":
     import io
 
     GOLDEN.mkdir(exist_ok=True)
-    for stem, argv, skew in cases():
+    for stem, argv, patch, _ in cases():
         for fmt in ("json", "text"):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                run_case(argv, skew, fmt)
+                run_case(argv, patch, fmt)
             (GOLDEN / f"{stem}.{fmt}").write_text(buf.getvalue())

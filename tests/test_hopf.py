@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscreen.contour import FaultInjection, parse_word, state
+from qscreen.contour import FaultInjection, parse_word, state, vec_eq
 from qscreen.hopf import (
     TensorContext,
     act_tensor_element,
@@ -19,7 +19,6 @@ from qscreen.hopf import (
     split_lowering,
     tensor_mul,
     tensor_state,
-    tvec_eq,
     verify_coproduct,
     verify_hopf_axioms,
     verify_relations,
@@ -47,9 +46,9 @@ def test_coproduct_tables():
 
 
 def test_counit_on_words():
-    assert counit_word(parse_word("K1 K2- K1"), 2).is_one()
+    assert counit_word(parse_word("K1 K2- K1"), 2) == 1
     assert counit_word(parse_word("K1 F2"), 2).is_zero()
-    assert counit_word((), 2).is_one()
+    assert counit_word((), 2) == 1
 
 
 def test_antipode_is_graded_antihomomorphism():
@@ -111,8 +110,8 @@ def test_split_lowering_matches_table_action():
         for s1 in [(), (j,), (0, j)]:
             for s2 in [(), (j,)]:
                 tv = tensor_state(tctx, s1, s2)
-                assert tvec_eq(act_tensor_element(tctx, te, tv),
-                               split_lowering(tctx, j, tv))
+                assert vec_eq(act_tensor_element(tctx, te, tv),
+                              split_lowering(tctx, j, tv))
 
 
 def test_relation_list_covers_all_families():

@@ -266,12 +266,13 @@ def test_tensor_memo_is_scoped_to_one_context():
     tv = tensor_state(TensorContext(datum=datum), (1, 0), (1,))
     first, second = TensorContext(datum=datum), TensorContext(datum=datum)
     warm = act_word_pair(first, w1, w2, tv)
-    assert first._images and not second._images
+    assert first.left._images and first.right._images
+    assert not second.left._images and not second.right._images
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
     assert vec_eq(act_word_pair(second, w1, w2, tv), warm)
     flipped = replace(first, faults=FaultInjection(flip_raising_prefactor=True))
-    assert not flipped._images
+    assert not flipped.left._images and not flipped.right._images
     assert not vec_eq(act_word_pair(flipped, w1, w2, tv), warm)
 
 
@@ -286,4 +287,5 @@ def test_word_pair_returns_fresh_vectors():
             got[key] = PhaseScalar.zero(tctx.arity)
         got[((0, 0), ())] = PhaseScalar.one(tctx.arity)
         assert vec_eq(act_word_pair(tctx, w1, w2, tv), expected)
-        assert all(image is not got for image in tctx._images.values())
+        assert all(image is not got for ctx in (tctx.left, tctx.right)
+                   for image in ctx._images.values())
