@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .contour import (
     DepthExceededError,
@@ -43,7 +42,7 @@ from .hopf import (
 )
 from .rootdata import ConfigError, RootDatum, Weight, resolve_algebra
 from .serre import residuals_vanish, singular_scan, specialize_scan
-from .phase import DenominatorVanishesError
+from .phase import DenominatorVanishesError, rational
 
 MAX_DEPTH = 12
 FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
@@ -57,7 +56,7 @@ def parse_weight(text: str, rank: int) -> Weight:
     if text in ("generic", "", None):
         return Weight.generic()
     try:
-        coords = [Fraction(part) for part in text.split(",")]
+        coords = [rational(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad weight {text!r}: {exc}") from exc
     if len(coords) != rank:
@@ -316,8 +315,14 @@ def add_depth_cap(parser: argparse.ArgumentParser, *,
                              f"beyond {MAX_DEPTH}")
 
 
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report usage errors like all bad input: `error: ...`, exit 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="qscreen",
         description="exact contour representation of deformed enveloping "
                     "superalgebras: identity verification and singular-vector scans")

@@ -43,10 +43,9 @@ coproduct check never read the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Hashable, Iterable
 
-from .phase import PhaseScalar, q_power, z_power
+from .phase import PhaseScalar, Rational, q_power, z_power
 from .rootdata import RootDatum, Weight
 
 # A basis state: tuple of 0-based simple-root indices, outermost first.
@@ -126,7 +125,7 @@ class ModuleContext:
         d = self.datum.symmetrizer(j)
         return self.q(d) - self.q(-d)
 
-    def crossing_factor(self, j: int, i: int) -> tuple[Fraction, int]:
+    def crossing_factor(self, j: int, i: int) -> tuple[Rational, int]:
         """Cost of sliding a type-j raising excision past one contour i, as
         the pair (e, s) of the factor s * q^e."""
         exp = self.datum.pair(j, i)
@@ -230,8 +229,7 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
         exp, sign = 0, 1
         for l, i in enumerate(seq):
             if i == j:
-                inner = sum((ctx.datum.pair(j, ip) for ip in seq[l + 1:]),
-                            Fraction(0))
+                inner = sum(ctx.datum.pair(j, ip) for ip in seq[l + 1:])
                 bracket = (1 - ctx.q(2 * inner) * ctx.z(j, 2)) / denom
                 crossing = PhaseScalar.monomial(sign, exp, zeros, ctx.arity)
                 accumulate(out, [(seq[:l] + seq[l + 1:], c * crossing * bracket)])

@@ -17,13 +17,13 @@ quotients below are a genuine fraction field and equality can be decided by
 cross-multiplication.  No gcd over these sums is ever computed.
 
 Each q-exponent a and coefficient c is an int, or a Fraction when
-non-integral.  Almost every value in play is integral, and int arithmetic
-and hashing cost far less than Fraction's.  Equal numbers hash and compare
-equal (hash(Fraction(2)) == hash(2)), so keys, equality and rendering do not
-depend on which type holds an integral value: values are made int where they
-enter (the constructors and `substitute_z`), and an integral Fraction that
-arithmetic yields later is harmless.  Coefficients are divided only through
-`_cdiv`, which stays exact where int / int would give a float.
+non-integral; almost every value in play is integral, and int arithmetic
+and hashing cost far less than Fraction's.  This module owns that format
+for the whole package: `rational` brings a value into it wherever values
+enter, and `ratio` divides within it exactly, where int / int would give a
+float.  Equal numbers hash and compare equal (hash(Fraction(2)) == hash(2)),
+so an integral Fraction that arithmetic yields later is harmless to keys,
+equality and rendering.
 
 Almost every product met in practice is a monomial times a sum.  `_pmul`
 computes it by shifting the sum's keys, which cannot merge or cancel, and
@@ -61,17 +61,22 @@ class DenominatorVanishesError(ZeroDivisionError):
     """Raised when a z-substitution sends a denominator to zero."""
 
 
-def _demote(x: Rational) -> Rational:
-    """x as an int when it is integral; a non-integral x unchanged."""
+def rational(x: Union[Rational, str]) -> Rational:
+    """x in the package's one number format: an int when integral, else a
+    Fraction.  Takes an int, a Fraction or a "p/q" string."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
 
-def _cdiv(a: Rational, b: Rational) -> Rational:
-    """The exact quotient a / b of two coefficients, never a float."""
+def ratio(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b in that format, never int / int's float."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    return _demote(a / b)
+    return rational(a / b)
 
 
 def _zero_key(arity: int) -> Key:
@@ -155,7 +160,7 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
         if (term_order(key) > stop
                 or not all(l <= e <= h for l, e, h in zip(lo, (a,) + m, hi))):
             raise ValueError("exact division: the divisor does not divide")
-        c = _cdiv(rem[low], lead_c)
+        c = ratio(rem[low], lead_c)
         out[key] = c
         for k, dc in d.items():
             k = _key_product(key, k)
@@ -179,7 +184,7 @@ def _pdiv_term(p: Poly, key: Key, coeff: Rational) -> Poly:
     """Divide a sum by the single monomial coeff*key (always exact)."""
     a0, m0 = key
     return {
-        (a - a0, tuple(x - y for x, y in zip(m, m0))): _cdiv(c, coeff)
+        (rational(a - a0), tuple(x - y for x, y in zip(m, m0))): ratio(c, coeff)
         for (a, m), c in p.items()
     }
 
@@ -247,9 +252,7 @@ class PhaseScalar:
 
     @classmethod
     def from_rational(cls, c: Rational, arity: int) -> "PhaseScalar":
-        c = _demote(Fraction(c))
-        num = {} if c == 0 else {_zero_key(arity): c}
-        return cls._of(num, _one_poly(arity), arity)
+        return cls.monomial(c, 0, (0,) * arity, arity)
 
     @classmethod
     def monomial(cls, coeff: Rational, a: Rational, m: Sequence[int],
@@ -257,8 +260,8 @@ class PhaseScalar:
         m = tuple(m)
         if len(m) != arity:
             raise ArityMismatchError(f"exponent vector {m} has arity {len(m)}, expected {arity}")
-        coeff = _demote(Fraction(coeff))
-        num = {} if coeff == 0 else {(_demote(Fraction(a)), m): coeff}
+        coeff = rational(coeff)
+        num = {} if coeff == 0 else {(rational(a), m): coeff}
         return cls._of(num, _one_poly(arity), arity)
 
     def _coerce(self, other) -> "PhaseScalar":
@@ -383,7 +386,7 @@ class PhaseScalar:
         substitution kills the denominator, which happens at weights where
         the generic expression is a genuine 0/0.
         """
-        exps = [Fraction(e) for e in q_exponents]
+        exps = [rational(e) for e in q_exponents]
         if len(exps) != self.arity:
             raise ArityMismatchError(
                 f"{len(exps)} substitution values for arity {self.arity}")
@@ -391,7 +394,7 @@ class PhaseScalar:
         def sub(p: Poly) -> Poly:
             out: Poly = {}
             for (a, m), c in p.items():
-                key = (_demote(a + sum(mk * ek for mk, ek in zip(m, exps))),
+                key = (rational(a + sum(mk * ek for mk, ek in zip(m, exps))),
                        (0,) * self.arity)
                 out[key] = out.get(key, 0) + c
             return _strip(out)

@@ -3,7 +3,9 @@
 An algebra is specified by a symmetric rational Gram matrix of simple-root
 inner products together with the set of odd simple roots.  Everything else —
 parities, symmetrizers, the Cartan matrix, the weight pairings that drive the
-contour representation — is derived from that pair.
+contour representation — is derived from that pair.  Gram entries and weight
+coordinates are kept in the number format of `phase` (`phase.rational`), and
+symmetrizers and Cartan entries divide through `phase.ratio`.
 
 Indices are 0-based internally.  User-facing text (words, JSON configs, CLI
 tokens) is 1-based; conversion happens only at those boundaries.
@@ -12,11 +14,10 @@ tokens) is 1-based; conversion happens only at those boundaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-Rational = Union[int, Fraction]
+from .phase import Rational, ratio, rational
 
 
 class ConfigError(ValueError):
@@ -32,7 +33,7 @@ class RootDatum:
     """
 
     rank: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[Rational, ...], ...]
     odd: frozenset[int] = frozenset()
     name: str = ""
 
@@ -41,10 +42,10 @@ class RootDatum:
             raise ConfigError("rank must be at least 1")
         if len(self.gram) != self.rank or any(len(row) != self.rank for row in self.gram):
             raise ConfigError(f"gram matrix must be {self.rank}x{self.rank}")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ConfigError("gram matrix must be symmetric")
+        object.__setattr__(self, "gram", tuple(tuple(map(rational, row))
+                                               for row in self.gram))
+        if self.gram != tuple(zip(*self.gram)):
+            raise ConfigError("gram matrix must be symmetric")
         for j in self.odd:
             if not 0 <= j < self.rank:
                 raise ConfigError(f"odd index {j} out of range")
@@ -55,20 +56,20 @@ class RootDatum:
         """0 for an even simple root, 1 for an odd one."""
         return 1 if j in self.odd else 0
 
-    def pair(self, i: int, j: int) -> Fraction:
+    def pair(self, i: int, j: int) -> Rational:
         """Inner product of simple roots i and j."""
         return self.gram[i][j]
 
-    def symmetrizer(self, j: int) -> Fraction:
+    def symmetrizer(self, j: int) -> Rational:
         """The factor d_j with q_j = q^{d_j}.
 
         Half the root's norm when the norm is nonzero; 1 on isotropic roots,
         where the deformed bracket degenerates gracefully.
         """
         njj = self.gram[j][j]
-        return njj / 2 if njj != 0 else Fraction(1)
+        return ratio(njj, 2) if njj != 0 else 1
 
-    def cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+    def cartan(self) -> tuple[tuple[Rational, ...], ...]:
         """The (generalized) Cartan matrix a_ij derived from the Gram matrix.
 
         a_ij = 2 (alpha_i . alpha_j) / (alpha_i . alpha_i) on non-isotropic
@@ -76,12 +77,9 @@ class RootDatum:
         way d_i * a_ij recovers the Gram entry.
         """
         rows = []
-        for i in range(self.rank):
-            nii = self.gram[i][i]
-            if nii != 0:
-                rows.append(tuple(2 * self.gram[i][j] / nii for j in range(self.rank)))
-            else:
-                rows.append(tuple(self.gram[i][j] for j in range(self.rank)))
+        for i, row in enumerate(self.gram):
+            nii = row[i]
+            rows.append(tuple(ratio(2 * x, nii) for x in row) if nii != 0 else row)
         return tuple(rows)
 
 
@@ -94,7 +92,11 @@ class Weight:
     from the Gram matrix alone.
     """
 
-    coords: Optional[tuple[Fraction, ...]] = None
+    coords: Optional[tuple[Rational, ...]] = None
+
+    def __post_init__(self):
+        if self.coords is not None:
+            object.__setattr__(self, "coords", tuple(map(rational, self.coords)))
 
     @staticmethod
     def generic() -> "Weight":
@@ -102,7 +104,7 @@ class Weight:
 
     @staticmethod
     def concrete(values: Sequence[Rational]) -> "Weight":
-        return Weight(tuple(Fraction(v) for v in values))
+        return Weight(values)
 
     @property
     def is_generic(self) -> bool:
@@ -115,31 +117,26 @@ class Weight:
             return "generic"
         return ",".join(str(c) for c in self.coords)
 
-    def root_pairing(self, datum: RootDatum, j: int) -> Fraction:
+    def root_pairing(self, datum: RootDatum, j: int) -> Rational:
         """alpha_j . lambda for a concrete weight."""
         if self.coords is None:
             raise ValueError("generic weight has no numeric pairings")
         if len(self.coords) != datum.rank:
             raise ConfigError("weight coordinate count does not match rank")
-        return sum((c * datum.gram[j][k] for k, c in enumerate(self.coords)),
-                   Fraction(0))
+        return sum(c * datum.gram[j][k] for k, c in enumerate(self.coords))
 
-    def inner(self, datum: RootDatum, other: "Weight") -> Fraction:
+    def inner(self, datum: RootDatum, other: "Weight") -> Rational:
         """lambda . mu for two concrete weights."""
         if self.coords is None or other.coords is None:
             raise ValueError("inner product needs two concrete weights")
-        total = Fraction(0)
-        for j, cj in enumerate(self.coords):
-            for k, ck in enumerate(other.coords):
-                total += cj * datum.gram[j][k] * ck
-        return total
+        return sum(c * other.root_pairing(datum, j)
+                   for j, c in enumerate(self.coords))
 
 
 # ---- bundled algebras ----
 
 def _datum(name, gram, odd=()):
-    g = tuple(tuple(Fraction(x) for x in row) for row in gram)
-    return RootDatum(rank=len(g), gram=g, odd=frozenset(odd), name=name)
+    return RootDatum(rank=len(gram), gram=gram, odd=frozenset(odd), name=name)
 
 
 CATALOG: dict[str, RootDatum] = {
@@ -170,8 +167,8 @@ def datum_from_config(obj: dict, name: str = "") -> RootDatum:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad algebra config: {exc}") from exc
     try:
-        gram = tuple(tuple(Fraction(str(x)) for x in row) for row in raw_gram)
-    except (TypeError, ValueError) as exc:
+        gram = tuple(tuple(rational(str(x)) for x in row) for row in raw_gram)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad gram entry: {exc}") from exc
     odd_raw = obj.get("odd", [])
     try:
@@ -183,12 +180,10 @@ def datum_from_config(obj: dict, name: str = "") -> RootDatum:
 
 
 def datum_to_config(datum: RootDatum) -> dict:
-    def enc(x: Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
     return {
         "rank": datum.rank,
-        "gram": [[enc(x) for x in row] for row in datum.gram],
+        "gram": [[x if type(x) is int else str(x) for x in row]
+                 for row in datum.gram],
         "odd": sorted(j + 1 for j in datum.odd),
     }
 

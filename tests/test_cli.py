@@ -244,6 +244,22 @@ def test_usage_errors_exit_two(capsys):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("serre-scan", "--algebra", "sl2", "--multidegree", "3", "--depth", "1"),
+    ("verify", "--algebra", "sl2", "--suite", "bogus"),
+    ("serre-scan", "--algebra", "sl2"),
+])
+def test_argparse_errors_start_with_error(capsys, argv):
+    """An unknown flag, a bad choice and a missing option are reported like
+    every other usage error, with no usage banner first."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("error:") and "usage:" not in err
+
+
 def test_depth_override(capsys):
     code, _, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",
                      "relations", "--depth", "13", "--force-depth")

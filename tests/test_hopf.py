@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscreen.contour import FaultInjection, parse_word, state, vec_eq
+from qscreen.contour import FaultInjection, parse_word, vec_eq
 from qscreen.hopf import (
     TensorContext,
     act_tensor_element,

@@ -1,0 +1,43 @@
+"""Every module uses what it imports.
+
+Each `.py` file under `src/qscreen`, `scripts` and `tests` is read with
+`ast`; a name bound by an import and never referenced elsewhere in the file
+fails the test.  Package `__init__.py` files re-export by importing, and
+`from __future__` imports switch on language features, so both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted(p for d in ("src/qscreen", "scripts", "tests")
+                 for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items())
+            if name not in used]
+
+
+def test_scan_sees_an_unused_import():
+    assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["line 1: os"]
+    assert unused_imports("from a import b as c\nc()\n") == []
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("path", SCANNED,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

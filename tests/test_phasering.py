@@ -341,6 +341,15 @@ def test_fraction_keys_equal_int_keys():
     assert str(built) == "3·q^2"
 
 
+def test_substitution_folds_to_int_exponents():
+    """A denominator that substitution leaves as one term is folded into
+    the numerator; an integral q-exponent that the fold yields is an int."""
+    q, z = q_power(Fraction(1, 3), 1), z_power(0, 1, 1)
+    special = (q / (q ** 4 * z ** -3 + q ** 10 * z ** -2)).substitute_z([-2])
+    assert special.num == {(-7, (0,)): Fraction(1, 2)}
+    assert [type(a) for a, _ in special.num] == [int]
+
+
 # ---- monomial fast paths ----
 
 def _mixed_sums(arity, min_size, max_size):

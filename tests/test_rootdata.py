@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qscreen.cli import parse_weight
 from qscreen.rootdata import (
     CATALOG,
     ConfigError,
@@ -115,6 +116,7 @@ def test_config_rejects_garbage():
         {"rank": 1},
         {"rank": 2, "gram": [[2]]},
         {"rank": 1, "gram": [["x"]]},
+        {"rank": 1, "gram": [["1/0"]]},
         {"rank": 1, "gram": [[2]], "odd": ["a"]},
         [],
     ]:
@@ -160,3 +162,59 @@ def test_config_roundtrip_generally(datum):
     assert back.rank == datum.rank
     assert back.gram == datum.gram
     assert back.odd == datum.odd
+
+
+# ---- one number format: an int, or a Fraction when non-integral ----
+
+def _normal(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _config_entry(draw, x: Fraction):
+    """x as a config file may spell it: an int, or a "p/q" string that need
+    not be in lowest terms."""
+    scale = draw(st.integers(1, 3))
+    if x.denominator == 1 and draw(st.booleans()):
+        return int(x)
+    return f"{x.numerator * scale}/{x.denominator * scale}"
+
+
+@st.composite
+def built_data(draw):
+    """Root data from the catalog, a config, or direct construction."""
+    route = draw(st.sampled_from(["catalog", "config", "direct"]))
+    if route == "catalog":
+        return draw(st.sampled_from(sorted(CATALOG.items())))[1]
+    datum = draw(root_data())
+    gram = [[Fraction(x) for x in row] for row in datum.gram]
+    if route == "config":
+        return datum_from_config(
+            {"gram": [[_config_entry(draw, x) for x in row] for row in gram]})
+    return RootDatum(rank=datum.rank, gram=tuple(map(tuple, gram)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_data(), st.data())
+def test_root_data_and_weights_hold_one_number_format(datum, data):
+    r = range(datum.rank)
+    assert all(_normal(x) for row in datum.gram for x in row)
+    assert all(_normal(datum.symmetrizer(j)) for j in r)
+    assert all(_normal(x) for row in datum.cartan() for x in row)
+
+    coords = [data.draw(st.fractions(-4, 4, max_denominator=3)) for _ in r]
+    text = ",".join(str(_config_entry(data.draw, c)) for c in coords)
+    weights = [Weight.concrete(coords), Weight(tuple(coords)),
+               parse_weight(text, datum.rank)]
+    for w in weights:
+        assert w.coords == tuple(coords)
+        assert all(_normal(c) for c in w.coords)
+        for j in r:
+            pairing = w.root_pairing(datum, j)
+            assert type(pairing) in (int, Fraction)
+            assert pairing == sum(Fraction(c) * Fraction(datum.gram[j][k])
+                                  for k, c in enumerate(coords))
+        inner = w.inner(datum, weights[0])
+        assert type(inner) in (int, Fraction)
+        assert inner == sum(Fraction(cj) * datum.gram[j][k] * ck
+                            for j, cj in enumerate(coords)
+                            for k, ck in enumerate(coords))

@@ -6,7 +6,6 @@ with sympy's own linear algebra, so none of the package's exact-arithmetic
 code is on that path.
 """
 
-import itertools
 from fractions import Fraction
 
 import pytest
