@@ -10,21 +10,26 @@ Usage:
     python3 scripts/scan_singular_vectors.py --algebra sl3 --max-total 5
 """
 
-import argparse
 import itertools
 import sys
 
-from qscreen import resolve_algebra, singular_scan
+from qscreen import ConfigError, resolve_algebra, singular_scan
+from qscreen.cli import Parser
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = Parser(description=__doc__)
     parser.add_argument("--algebra", default="sl3")
     parser.add_argument("--max-total", type=int, default=4)
     parser.add_argument("--show-residuals", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    datum = resolve_algebra(args.algebra)
+    try:
+        datum = resolve_algebra(args.algebra)
+    except (ConfigError, OSError) as exc:
+        # Bad input, as in the CLI: `error:` and exit 2, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     r = datum.rank
     found = 0
     for total in range(1, args.max_total + 1):

@@ -315,9 +315,21 @@ def add_depth_cap(parser: argparse.ArgumentParser, *,
                              f"beyond {MAX_DEPTH}")
 
 
+WEIGHT_FLAGS = ("--weight", "--weight1", "--weight2", "--specialize")
+
+
 class Parser(argparse.ArgumentParser):
     def error(self, message):
-        """Report usage errors like all bad input: `error: ...`, exit 2."""
+        """Report usage errors like all bad input: `error: ...`, exit 2.
+
+        A weight that starts with `-` and follows its flag as a separate
+        token reads as a flag itself, so its flag seems to have no value;
+        the message then names the `--flag=-5/2` form.
+        """
+        flag, _, reason = message.removeprefix("argument ").partition(": ")
+        if flag in WEIGHT_FLAGS and reason == "expected one argument":
+            message += (f" (write a weight that starts with '-' after '=', "
+                        f"as in {flag}=-5/2)")
         self.exit(2, f"error: {message}\n")
 
 

@@ -25,6 +25,14 @@ float.  Equal numbers hash and compare equal (hash(Fraction(2)) == hash(2)),
 so an integral Fraction that arithmetic yields later is harmless to keys,
 equality and rendering.
 
+Exact division and elimination run on int exponents only.  Multiplying
+every q-exponent by the lcm s of their denominators (`_exponent_scale`,
+`_scale`) is an order-preserving automorphism of the key group Q x Z^N
+that makes every exponent in play an int, so `term_order`, the stop bound
+and the exponent box of `_pdiv_exact`, and every quotient, stay the same;
+`_unscale` maps the result back through `ratio`.  `reduce_exact` scales
+its own pair, and `serre.nullspace` scales its whole matrix once.
+
 Almost every product met in practice is a monomial times a sum.  `_pmul`
 computes it by shifting the sum's keys, which cannot merge or cancel, and
 `__mul__` does not multiply two unit denominators.  Sums and products are
@@ -40,8 +48,9 @@ error, never a silent coercion.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -77,6 +86,30 @@ def ratio(a: Rational, b: Rational) -> Rational:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return rational(a / b)
+
+
+def _exponent_scale(polys: Iterable[Poly]) -> int:
+    """The lcm s of the q-exponent denominators of these sums, so that a·s
+    is an int for every q-exponent a in them."""
+    s = 1
+    for p in polys:
+        for a, _ in p:
+            if s % a.denominator:
+                s = lcm(s, a.denominator)
+    return s
+
+
+def _scale(p: Poly, s: int) -> Poly:
+    """p with every q-exponent a replaced by the int a·s."""
+    return {(a.numerator * (s // a.denominator), m): c
+            for (a, m), c in p.items()}
+
+
+def _unscale(p: Poly, s: int) -> Poly:
+    """The inverse of `_scale`: every q-exponent a replaced by a / s."""
+    if s == 1:
+        return p
+    return {(ratio(a, s), m): c for (a, m), c in p.items()}
 
 
 def _zero_key(arity: int) -> Key:
@@ -368,13 +401,16 @@ class PhaseScalar:
 
         Meant for values with no z left to specialize (a concrete weight):
         at generic weight an un-cancelled factor marks where a
-        specialization must report `denominator-vanishes`.
+        specialization must report `denominator-vanishes`.  The division
+        runs on q-exponents scaled to ints.
         """
+        s = _exponent_scale((self.num, self.den))
         try:
-            return PhaseScalar._of(_pdiv_exact(self.num, self.den),
-                                   _one_poly(self.arity), self.arity)
+            quotient = _pdiv_exact(_scale(self.num, s), _scale(self.den, s))
         except ValueError:
             return self
+        return PhaseScalar._of(_unscale(quotient, s), _one_poly(self.arity),
+                               self.arity)
 
     # ---- substitution ----
 

@@ -28,6 +28,15 @@ treat the un-cancelled factor correctly, and a specialization that lands on
 it raises DenominatorVanishesError rather than guessing.  A scan at a
 concrete weight has no z left to specialize, so there each coordinate is
 replaced by its exact Laurent quotient whenever v_lead divides it.
+
+Rational q-exponents (odd roots, concrete weights such as -7/2,-5/3) are
+scaled once, on entry to `nullspace`, by the lcm of their denominators, so
+the elimination hashes, compares and adds ints; the kernel vectors are
+scaled back before the quotients v_k / v_lead are built.  The residual
+checks run on the polynomial vector v = v_lead · (v / v_lead), whose
+coordinates are the numerators v_k themselves, and only a vector that
+fails is checked again, as printed, so that the failure shows in the
+printed terms.
 """
 
 from __future__ import annotations
@@ -49,10 +58,14 @@ from .contour import (
 from .phase import (
     DenominatorVanishesError,
     PhaseScalar,
+    _exponent_scale,
+    _one_poly,
     _padd,
     _pdiv_exact,
     _pmul,
     _pneg,
+    _scale,
+    _unscale,
 )
 from .rootdata import RootDatum, Weight
 
@@ -93,11 +106,17 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
     the quotients: it is a minor (D, or a cofactor in a pivot column), and
     the weights where it vanishes are the ones specialization must report
     as `denominator-vanishes` rather than evaluate.
+
+    Every q-exponent of the matrix is multiplied on entry by the lcm s of
+    their denominators, so the elimination runs on int exponents; scaling
+    by s > 0 preserves the term order and every exact quotient.  The
+    kernel vectors are divided back by s before v_k / v_lead is built.
     """
     one = PhaseScalar.one(arity).num
     if any(e.den != one for row in rows for e in row):
         raise ValueError("nullspace needs Laurent-polynomial entries")
-    matrix = [[e.num for e in row] for row in rows]
+    s = _exponent_scale(e.num for row in rows for e in row)
+    matrix = [[_scale(e.num, s) for e in row] for row in rows]
     matrix = [row for row in matrix if any(row)]
     pivots: list[tuple[int, int]] = []  # (row position, column)
     prev = one
@@ -129,9 +148,9 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
         if free in pivot_cols:
             continue
         vec = [{} for _ in range(ncols)]
-        vec[free] = prev
+        vec[free] = _unscale(prev, s)
         for rp, pc in pivots:
-            vec[pc] = _pneg(matrix[rp][free])
+            vec[pc] = _unscale(_pneg(matrix[rp][free]), s)
         lead = next(k for k, x in enumerate(vec) if x)
         basis.append([PhaseScalar.one(arity) if k == lead
                       else PhaseScalar(x, vec[lead], arity)
@@ -225,6 +244,7 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
         rows.extend(block)
 
     basis = nullspace(rows, len(words), ctx.arity)
+    polys = [_polynomial_vector(vec, ctx.arity) for vec in basis]
     if not weight.is_generic:
         # No z is left to specialize, so no vanishing locus is at stake.
         basis = [[c.reduce_exact() for c in vec] for vec in basis]
@@ -235,9 +255,33 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
         words=words,
         basis=basis,
     )
-    result.residuals = [residual_checks(datum, words, vec, weight, faults)
-                        for vec in basis]
+    for poly, vec in zip(polys, basis):
+        # E_j is linear and v_lead != 0, so the polynomial vector passes
+        # exactly when the printed one does; a failure is reported on the
+        # printed vector.
+        checks = residual_checks(datum, words, poly, weight, faults)
+        if not residuals_vanish([checks]):
+            checks = residual_checks(datum, words, vec, weight, faults)
+        result.residuals.append(checks)
     return result
+
+
+def _polynomial_vector(vec: Sequence[PhaseScalar],
+                      arity: int) -> list[PhaseScalar]:
+    """v_lead times a kernel vector from `nullspace`: its polynomial
+    coordinates v_k.
+
+    Each v_k is read off as the numerator over the shared multi-term
+    denominator v_lead, never multiplied back by it; only the lead, the
+    literal one, becomes v_lead itself.  A vector with no multi-term
+    denominator is already polynomial and comes back as it is.
+    """
+    den = next((c.den for c in vec if len(c.den) > 1), None)
+    if den is None:
+        return list(vec)
+    one = _one_poly(arity)
+    return [PhaseScalar._of(c.num if len(c.den) > 1 else _pmul(c.num, den),
+                            one, arity) for c in vec]
 
 
 def residual_checks(datum: RootDatum, words: list[Seq],

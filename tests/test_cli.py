@@ -1,8 +1,11 @@
 import argparse
 import json
+import os
 import pickle
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -258,6 +261,55 @@ def test_argparse_errors_start_with_error(capsys, argv):
     assert exc.value.code == 2
     assert out == ""
     assert err.startswith("error:") and "usage:" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "--algebra", "osp1_2", "--weight2", "-5/2"), "--weight2"),
+    (("verify", "--algebra", "sl3", "--weight", "-1/2,3"), "--weight"),
+    (("act", "--algebra", "sl2", "--word", "F1", "--weight", "-1/2"),
+     "--weight"),
+    (("serre-scan", "--algebra", "sl3", "--multidegree", "2,1",
+      "--specialize", "-1,2"), "--specialize"),
+    (("braid", "--algebra", "sl2", "--weight1", "-7/4", "--weight2", "1"),
+     "--weight1"),
+])
+def test_negative_weight_as_separate_token_names_the_equals_form(
+        capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err == (f"error: argument {flag}: expected one argument (write a "
+                   f"weight that starts with '-' after '=', as in "
+                   f"{flag}=-5/2)\n")
+    # the form the message names parses
+    k = argv.index(flag)
+    attached = argv[:k] + (f"{flag}={argv[k + 1]}",) + argv[k + 2:]
+    value = getattr(build_parser().parse_args(attached), flag[2:])
+    assert value in (argv[k + 1], [argv[k + 1]])
+
+
+def test_other_missing_values_get_no_weight_hint(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--algebra", "sl2", "--depth"])
+    assert capsys.readouterr().err == (
+        "error: argument --depth: expected one argument\n")
+
+
+def test_scan_script_reports_bad_algebra_like_the_cli():
+    """`scripts/scan_singular_vectors.py` turns a missing config file and
+    an unknown algebra name into `error:` and exit 2, no traceback."""
+    root = README.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for algebra, words in (("nope.json", "No such file"),
+                           ("e8", "unknown algebra 'e8'")):
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "scan_singular_vectors.py"),
+             "--algebra", algebra], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, algebra
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and words in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_depth_override(capsys):

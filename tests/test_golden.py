@@ -10,9 +10,12 @@ antipode laws at once.
 
 The `serre-scan` cases pin a generic kernel with one `denominator-vanishes`
 and one `ok` specialization, a concrete-weight kernel of exact Laurent
-quotients, and a half-integer (`osp1_2`) kernel.  One scan solves a matrix
-blind to `E1`, so its kernel is wrong and both the scan's residuals and its
-specialization report the failure (`NONZERO`, `residual-nonzero`, exit 1).
+quotients, and a half-integer (`osp1_2`) kernel.  Two scans solve a matrix
+blind to `E1`, so their kernels are wrong.  At generic weight both the
+scan's residuals and its specialization report the failure (`NONZERO`,
+`residual-nonzero`, exit 1).  At the concrete weight `-7/2,-5/3` all four
+vectors are `NONZERO`, and one keeps an unreduced quotient, which pins
+the residuals rendered from the printed vector.
 The `act` cases pin one word at generic and at concrete weight.
 
 The expected files under `tests/golden/` are the command's stdout.  To
@@ -65,6 +68,9 @@ def cases():
     yield ("scan_sl2_1_2_2_concrete",
            ["serre-scan", "--algebra", "sl2_1", "--multidegree", "2,2",
             "--weight=-7/2,-5/3"], None, 0)
+    yield ("scan_sl2_1_2_2_concrete_blind_to_e1",
+           ["serre-scan", "--algebra", "sl2_1", "--multidegree", "2,2",
+            "--weight=-7/2,-5/3"], BLIND, 1)
     yield ("scan_osp1_2_4",
            ["serre-scan", "--algebra", "osp1_2", "--multidegree", "4"], None, 0)
     yield ("scan_sl3_2_1_blind_to_e1", sl3_21 + ["--specialize", "1,7"],

@@ -254,6 +254,22 @@ def test_exact_division_rejects_non_multiples(triple):
         _divide_or_time_out(_padd(_pmul(a, b), t), b)
 
 
+def test_reduce_exact_on_thirds():
+    """`reduce_exact` divides on exponents scaled to ints and maps the
+    quotient back: it is exact, and an integral q-exponent is an int."""
+    q = q_power(Fraction(1, 3), 0)
+    third = ((q + q ** 3) / (1 + q ** 2)).reduce_exact()
+    assert third.num == {(Fraction(1, 3), ()): 1}
+    assert third.den == {(0, ()): 1}
+    whole = ((q ** 2 + q ** 4) / (q ** -1 + q)).reduce_exact()
+    assert whole.num == {(1, ()): 1}
+    assert [type(a) for a, _ in whole.num] == [int]
+    # a true quotient comes back unchanged, exponents and all
+    kept = (q / (1 + q)).reduce_exact()
+    assert kept.num == {(Fraction(1, 3), ()): 1}
+    assert kept.den == {(0, ()): 1, (Fraction(1, 3), ()): 1}
+
+
 # ---- the scalar core: int, or Fraction when non-integral ----
 
 q_exps = st.one_of(st.integers(-4, 4),
@@ -415,3 +431,16 @@ def test_constructor_strips_and_folds_outside_input():
     _assert_canonical(x)
     assert x.num == {(-1, (1,)): Fraction(3, 2)}
     _assert_canonical(PhaseScalar({(1, (0,)): 0}, {(2, (1,)): 2, (3, (0,)): 1}, 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    _mixed_sums(n, 0, 4), _mixed_sums(n, 2, 4))))
+def test_reduce_exact_recovers_the_factor(pair):
+    """a·b / b reduces to a for exponents in halves and thirds together,
+    with every integral q-exponent stored as an int."""
+    a, b = pair
+    reduced = PhaseScalar(_pmul(a, b), b, len(next(iter(b))[1])).reduce_exact()
+    assert reduced.num == a
+    _assert_canonical(reduced)
+    assert all(type(k) is int or k.denominator != 1 for k, _ in reduced.num)

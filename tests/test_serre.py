@@ -7,6 +7,7 @@ code is on that path.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscreen.phase import DenominatorVanishesError, PhaseScalar, q_power
-from qscreen.rootdata import CATALOG, Weight
+from qscreen.rootdata import CATALOG, Weight, resolve_algebra
 from qscreen.serre import (
+    _polynomial_vector,
     enumerate_words,
     nullspace,
     residual_checks,
@@ -26,6 +28,7 @@ from qscreen.serre import (
 )
 
 Q = sp.Symbol("q")
+ALGEBRAS = Path(__file__).resolve().parent / "algebras"
 
 
 def test_enumerate_words_orders_lexicographically():
@@ -110,11 +113,12 @@ def oracle_matrix(datum, multidegree):
     return sp.Matrix(rows) if rows else sp.zeros(0, len(words)), words, zs
 
 
-def scalar_to_sympy(x: PhaseScalar, zs):
+def scalar_to_sympy(x: PhaseScalar, zs, q=Q, scale=1):
+    """x in sympy, with q^a written as q**(a·scale)."""
     def poly(p):
         total = sp.Integer(0)
         for (a, m), c in p.items():
-            term = sp.Rational(c) * Q ** sp.Rational(a)
+            term = sp.Rational(c) * q ** sp.Rational(a * scale)
             for z, e in zip(zs, m):
                 term *= z ** e
             total += term
@@ -179,6 +183,30 @@ def test_reduce_exact_keeps_a_true_quotient():
     assert ((q + q ** 3) / (1 + q ** 2)).reduce_exact().render() == "q"
 
 
+@pytest.mark.parametrize("name,md", [("sl3", (2, 1)), ("sl2_1", (2, 2)),
+                                     ("osp1_4.json", (3, 1)),
+                                     ("osp1_4.json", (1, 2))])
+def test_polynomial_vector_is_the_kernel_vector_times_its_lead(name, md):
+    """The residual checks run on v_lead · (v / v_lead): polynomial
+    coordinates, the lead one v_lead, every coordinate v_lead times the
+    printed one, and the same verdict as the printed vector.  osp(1|4)
+    brings half-integer q-exponents."""
+    datum = resolve_algebra(name if name in CATALOG else str(ALGEBRAS / name))
+    result = singular_scan(datum, md)
+    assert result.basis
+    for vec in result.basis:
+        poly = _polynomial_vector(vec, vec[0].arity)
+        assert all(len(c.den) == 1 for c in poly)
+        lead = next(k for k, c in enumerate(vec) if not c.is_zero())
+        assert vec[lead] == 1
+        assert all(p == c * poly[lead] for p, c in zip(poly, vec))
+        assert residual_checks(datum, result.words, poly) == \
+            residual_checks(datum, result.words, vec)
+    if name != "sl2_1":
+        # v_lead is a multi-term minor here (for sl3 it carries 1 - z1^2)
+        assert len(poly[lead].num) > 1
+
+
 def test_sl3_frozen_vector_against_oracle_nullspace():
     datum = CATALOG["sl3"]
     matrix, _, zs = oracle_matrix(datum, (2, 1))
@@ -237,9 +265,19 @@ def test_scan_json_shape():
 # ---- the solver against sympy on random matrices ----
 
 rat = st.integers(min_value=-3, max_value=3)
+# q-exponents with denominators 1-4, so the solver meets halves, thirds and
+# quarters in one matrix and scales them by their common denominator
+q_exp = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 # an entry is a sum of 1-3 terms c·q^a, so elimination divides by
 # multi-term pivots and the exact division is exercised
-laurent = st.lists(st.tuples(rat, rat), min_size=1, max_size=3)
+laurent = st.lists(st.tuples(rat, q_exp), min_size=1, max_size=3)
+# q = T^12 makes every exponent above an integer power of T, so sympy
+# works in Q(T) rather than in an algebraic extension of Q(q)
+T = sp.Symbol("T")
+
+
+def q_to_t(a) -> int:
+    return int(Fraction(a) * 12)
 
 
 @st.composite
@@ -260,14 +298,15 @@ def package_rows(entries):
 def test_nullspace_matches_sympy(data):
     nrows, ncols, entries = data
     basis = nullspace(package_rows(entries), ncols, 0)
-    matrix = sp.Matrix([[sum(sp.Rational(c) * Q ** a for c, a in terms)
+    matrix = sp.Matrix([[sum(sp.Rational(c) * T ** q_to_t(a)
+                             for c, a in terms)
                          for terms in row] for row in entries])
-    # exact rank over Q(q): Matrix.nullspace() on sums of q-powers can run
+    # exact rank over Q(T): Matrix.nullspace() on sums of q-powers can run
     # for minutes on a 3x4 matrix
     rank = DomainMatrix.from_Matrix(matrix).to_field().rank()
     assert len(basis) == ncols - rank
     for vec in basis:
-        col = sp.Matrix([scalar_to_sympy(x, []) for x in vec])
+        col = sp.Matrix([scalar_to_sympy(x, [], q=T, scale=12) for x in vec])
         assert sp.simplify(matrix * col) == sp.zeros(nrows, 1)
 
 
