@@ -25,13 +25,18 @@ float.  Equal numbers hash and compare equal (hash(Fraction(2)) == hash(2)),
 so an integral Fraction that arithmetic yields later is harmless to keys,
 equality and rendering.
 
-Exact division and elimination run on int exponents only.  Multiplying
-every q-exponent by the lcm s of their denominators (`_exponent_scale`,
-`_scale`) is an order-preserving automorphism of the key group Q x Z^N
-that makes every exponent in play an int, so `term_order`, the stop bound
-and the exponent box of `_pdiv_exact`, and every quotient, stay the same;
-`_unscale` maps the result back through `ratio`.  `reduce_exact` scales
-its own pair, and `serre.nullspace` scales its whole matrix once.
+Exact division and elimination run on monomial keys packed into one
+Python int.  A `KeyPacking` plan writes (a, m) in balanced mixed radix,
+most significant field first: z_1 ... z_N, then -a·s, where s is the lcm
+of the q-exponent denominators, so every field holds an int.  Integer
+order is then `term_order`, a product of monomials is a sum of packed
+keys and a quotient a difference, and the leading term of a sum is its
+least int key.  The plan sizes each field from the largest |exponent| of
+its input and from how many factors a key may accumulate, so every key
+the computation forms, and the difference of any two, decodes without
+carry; packing an exponent beyond the plan raises ValueError rather than
+alias another key.  `_pdiv_exact` packs once, divides on ints and unpacks
+once, and `serre.nullspace` packs its whole matrix once.
 
 Almost every product met in practice is a monomial times a sum.  `_pmul`
 computes it by shifting the sum's keys, which cannot merge or cancel, and
@@ -88,28 +93,108 @@ def ratio(a: Rational, b: Rational) -> Rational:
     return rational(a / b)
 
 
-def _exponent_scale(polys: Iterable[Poly]) -> int:
-    """The lcm s of the q-exponent denominators of these sums, so that a·s
-    is an int for every q-exponent a in them."""
-    s = 1
-    for p in polys:
-        for a, _ in p:
-            if s % a.denominator:
-                s = lcm(s, a.denominator)
-    return s
+class KeyPacking:
+    """A plan that packs the monomial keys of some sums into ints.
 
+    Fields, most significant first: z_1 ... z_N, then -a·s.  A field of b
+    bits holds a balanced digit in [-2^(b-1), 2^(b-1)), so integer order is
+    lexicographic order on the digits, which is `term_order`.
 
-def _scale(p: Poly, s: int) -> Poly:
-    """p with every q-exponent a replaced by the int a·s."""
-    return {(a.numerator * (s // a.denominator), m): c
-            for (a, m), c in p.items()}
+    The plan's range in a field is the largest |exponent| there in the
+    input sums times `factors`, the number of input monomials a key may
+    multiply together.  Its guard box is [-G, G), G the least power of two
+    above that range, and the field holds [-4G, 4G).  A key in the guard
+    box, a sum of two and such a sum less a third (a Bareiss cross term
+    less the divisor) all decode without carry.
+    """
 
+    __slots__ = ("arity", "scale", "_limits", "_widths", "_offset", "_mask")
 
-def _unscale(p: Poly, s: int) -> Poly:
-    """The inverse of `_scale`: every q-exponent a replaced by a / s."""
-    if s == 1:
-        return p
-    return {(ratio(a, s), m): c for (a, m), c in p.items()}
+    def __init__(self, polys: Iterable[Poly], arity: int, factors: int = 1):
+        scale = 1
+        top = [0] * (arity + 1)  # largest |exponent| per field; q unscaled
+        for p in polys:
+            for a, m in p:
+                if scale % a.denominator:
+                    scale = lcm(scale, a.denominator)
+                top[arity] = max(top[arity], abs(a))
+                for v, e in enumerate(m):
+                    if abs(e) > top[v]:
+                        top[v] = abs(e)
+        top[arity] = int(top[arity] * scale)
+        self.arity = arity
+        self.scale = scale
+        self._limits = [factors * e for e in top]
+        guards = [lim.bit_length() + 1 for lim in self._limits]
+        self._widths = [g + 2 for g in guards]
+        # Adding G = 2^(g-1) brings a digit in the guard box to [0, 2^g):
+        # every bit of the field from g up is then clear.
+        self._offset = self.join([1 << (g - 1) for g in guards])
+        mask = 0
+        for g, b in zip(guards, self._widths):
+            mask = (mask << b) | ((1 << b) - (1 << g))
+        self._mask = mask
+
+    def digits(self, key: Key) -> list[int]:
+        """The digits of key, most significant first; ValueError beyond
+        the plan."""
+        a, m = key
+        if len(m) != self.arity or self.scale % a.denominator:
+            raise ValueError(f"key {key} is off the packing plan")
+        digits = [*m, -a.numerator * (self.scale // a.denominator)]
+        for e, lim in zip(digits, self._limits):
+            if not -lim <= e <= lim:
+                raise ValueError(f"key {key} is off the packing plan")
+        return digits
+
+    def join(self, digits: Sequence[int]) -> int:
+        k = 0
+        for e, b in zip(digits, self._widths):
+            k = (k << b) + e
+        return k
+
+    def split(self, k: int) -> list[int]:
+        """The digits of a packed key, most significant first."""
+        digits = []
+        for b in reversed(self._widths):
+            half = 1 << (b - 1)
+            t = k + half
+            digits.append((t & ((half << 1) - 1)) - half)
+            k = t >> b
+        digits.reverse()
+        return digits
+
+    def pack(self, key: Key) -> int:
+        return self.join(self.digits(key))
+
+    def unpack(self, k: int) -> Key:
+        *m, e = self.split(k)
+        return (ratio(-e, self.scale), tuple(m))
+
+    def pack_poly(self, p: Poly) -> dict[int, Rational]:
+        return {self.pack(k): c for k, c in p.items()}
+
+    def unpack_poly(self, p: dict[int, Rational]) -> Poly:
+        return {self.unpack(k): c for k, c in p.items()}
+
+    def admits(self, k: int) -> bool:
+        """Whether every digit of k lies in the guard box, for a k whose
+        digits lie within three guard widths of zero, as every key that
+        `serre.nullspace` forms does: one add and one mask, no decode."""
+        return not (k + self._offset) & self._mask
+
+    def divide(self, n: dict[int, Rational],
+               d: dict[int, Rational]) -> dict[int, Rational]:
+        """The packed quotient n / d, with every quotient key guarded by
+        the plan's box in place of `_pdiv_exact`'s box from n and d."""
+        if len(d) == 1:
+            ((k0, c0),) = d.items()
+            if k0 == 0 and c0 == 1:
+                return n
+            return {k - k0: ratio(c, c0) for k, c in n.items()}
+        if not n:
+            return {}
+        return _pdiv_ints(n, d, max(n) - max(d), self.admits)
 
 
 def _zero_key(arity: int) -> Key:
@@ -168,7 +253,8 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
     proves that d does not divide n.  The exponent box is what makes the
     loop finite in several variables, where lex order alone is not: the
     quotient terms 1, z2, z2^2, ... of (1 - z1)/(1 - z2) never pass
-    HT(n)/HT(d) = z1·z2^-1.
+    HT(n)/HT(d) = z1·z2^-1.  The division runs on keys packed by one
+    `KeyPacking` plan for n and d.
     """
     if not d:
         raise ZeroDivisionError("exact division by the zero sum")
@@ -176,41 +262,63 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
         return _pdiv_term(n, *next(iter(d.items())))
     if not n:
         return {}
-    lead = min(d, key=term_order)
+    plan = KeyPacking((n, d), len(next(iter(d))[1]))
+    n_digits = [plan.digits(k) for k in n]
+    d_digits = [plan.digits(k) for k in d]
+    lo = [min(e) - min(f) for e, f in zip(zip(*n_digits), zip(*d_digits))]
+    hi = [max(e) - max(f) for e, f in zip(zip(*n_digits), zip(*d_digits))]
+    n_packed = {plan.join(e): c for e, c in zip(n_digits, n.values())}
+    d_packed = {plan.join(e): c for e, c in zip(d_digits, d.values())}
+
+    def in_box(k: int) -> bool:
+        return all(l <= e <= h for l, e, h in zip(lo, plan.split(k), hi))
+
+    quotient = _pdiv_ints(n_packed, d_packed, max(n_packed) - max(d_packed),
+                          in_box)
+    return plan.unpack_poly(quotient)
+
+
+def _pdiv_ints(n: dict[int, Rational], d: dict[int, Rational], stop: int,
+               admits) -> dict[int, Rational]:
+    """Long division of packed sums, the loop of `_pdiv_exact`: a quotient
+    key past `stop`, or one that `admits` rejects, raises ValueError."""
+    lead = min(d)
     lead_c = d[lead]
-    stop = term_order(_key_quotient(max(n, key=term_order),
-                                    max(d, key=term_order)))
-    n_exps = [(a,) + m for a, m in n]
-    d_exps = [(a,) + m for a, m in d]
-    lo = [min(e) - min(f) for e, f in zip(zip(*n_exps), zip(*d_exps))]
-    hi = [max(e) - max(f) for e, f in zip(zip(*n_exps), zip(*d_exps))]
+    rest = [(k - lead, c) for k, c in d.items() if k != lead]
     rem = dict(n)
-    out: Poly = {}
+    out: dict[int, Rational] = {}
     while rem:
-        low = min(rem, key=term_order)
-        key = _key_quotient(low, lead)
-        a, m = key
-        if (term_order(key) > stop
-                or not all(l <= e <= h for l, e, h in zip(lo, (a,) + m, hi))):
+        low = min(rem)
+        key = low - lead
+        if key > stop or not admits(key):
             raise ValueError("exact division: the divisor does not divide")
-        c = ratio(rem[low], lead_c)
+        c = ratio(rem.pop(low), lead_c)
         out[key] = c
-        for k, dc in d.items():
-            k = _key_product(key, k)
+        for k, dc in rest:
+            k += low
             v = rem.get(k, 0) - c * dc
             if v:
                 rem[k] = v
             else:
-                rem.pop(k, None)
+                del rem[k]
     return out
 
 
-def _key_product(k1: Key, k2: Key) -> Key:
-    return (k1[0] + k2[0], tuple(x + y for x, y in zip(k1[1], k2[1])))
-
-
-def _key_quotient(k1: Key, k2: Key) -> Key:
-    return (k1[0] - k2[0], tuple(x - y for x, y in zip(k1[1], k2[1])))
+def _pcross(p: dict[int, Rational], x: dict[int, Rational],
+            f: dict[int, Rational], y: dict[int, Rational]
+            ) -> dict[int, Rational]:
+    """p·x - f·y on packed sums, the cross term of a Bareiss step."""
+    out: dict[int, Rational] = {}
+    get = out.get
+    for k1, c1 in p.items():
+        for k2, c2 in x.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    for k1, c1 in f.items():
+        for k2, c2 in y.items():
+            k = k1 + k2
+            out[k] = get(k, 0) - c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def _pdiv_term(p: Poly, key: Key, coeff: Rational) -> Poly:
@@ -402,15 +510,13 @@ class PhaseScalar:
         Meant for values with no z left to specialize (a concrete weight):
         at generic weight an un-cancelled factor marks where a
         specialization must report `denominator-vanishes`.  The division
-        runs on q-exponents scaled to ints.
+        runs on packed keys (`_pdiv_exact`).
         """
-        s = _exponent_scale((self.num, self.den))
         try:
-            quotient = _pdiv_exact(_scale(self.num, s), _scale(self.den, s))
+            quotient = _pdiv_exact(self.num, self.den)
         except ValueError:
             return self
-        return PhaseScalar._of(_unscale(quotient, s), _one_poly(self.arity),
-                               self.arity)
+        return PhaseScalar._of(quotient, _one_poly(self.arity), self.arity)
 
     # ---- substitution ----
 

@@ -29,13 +29,15 @@ it raises DenominatorVanishesError rather than guessing.  A scan at a
 concrete weight has no z left to specialize, so there each coordinate is
 replaced by its exact Laurent quotient whenever v_lead divides it.
 
-Rational q-exponents (odd roots, concrete weights such as -7/2,-5/3) are
-scaled once, on entry to `nullspace`, by the lcm of their denominators, so
-the elimination hashes, compares and adds ints; the kernel vectors are
-scaled back before the quotients v_k / v_lead are built.  The residual
-checks run on the polynomial vector v = v_lead · (v / v_lead), whose
-coordinates are the numerators v_k themselves, and only a vector that
-fails is checked again, as printed, so that the failure shows in the
+The elimination runs on monomial keys packed into ints (`phase.KeyPacking`):
+`nullspace` packs the matrix once, on entry, with rational q-exponents
+(odd roots, concrete weights such as -7/2,-5/3) scaled by the lcm of their
+denominators.  Multiplying monomials then adds ints, dividing subtracts
+them, and a leading term is a least int.  Only the minor D and the kernel
+entries are unpacked, before the quotients v_k / v_lead are built.  The
+residual checks run on the polynomial vector v = v_lead · (v / v_lead),
+whose coordinates are the numerators v_k themselves, and only a vector
+that fails is checked again, as printed, so that the failure shows in the
 printed terms.
 """
 
@@ -57,15 +59,11 @@ from .contour import (
 )
 from .phase import (
     DenominatorVanishesError,
+    KeyPacking,
     PhaseScalar,
-    _exponent_scale,
     _one_poly,
-    _padd,
-    _pdiv_exact,
+    _pcross,
     _pmul,
-    _pneg,
-    _scale,
-    _unscale,
 )
 from .rootdata import RootDatum, Weight
 
@@ -107,19 +105,20 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
     the weights where it vanishes are the ones specialization must report
     as `denominator-vanishes` rather than evaluate.
 
-    Every q-exponent of the matrix is multiplied on entry by the lcm s of
-    their denominators, so the elimination runs on int exponents; scaling
-    by s > 0 preserves the term order and every exact quotient.  The
-    kernel vectors are divided back by s before v_k / v_lead is built.
+    The entries are packed on entry by one `KeyPacking` plan, sized for
+    minors of order up to ncols, so that the elimination multiplies,
+    subtracts and divides sums keyed by ints.  Each quotient key is checked
+    against the plan's guard box instead of a box read off the dividend.
+    Only D and the kernel entries are unpacked.
     """
     one = PhaseScalar.one(arity).num
     if any(e.den != one for row in rows for e in row):
         raise ValueError("nullspace needs Laurent-polynomial entries")
-    s = _exponent_scale(e.num for row in rows for e in row)
-    matrix = [[_scale(e.num, s) for e in row] for row in rows]
+    plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
+    matrix = [[plan.pack_poly(e.num) for e in row] for row in rows]
     matrix = [row for row in matrix if any(row)]
     pivots: list[tuple[int, int]] = []  # (row position, column)
-    prev = one
+    prev = {0: 1}  # the packed unit
     r = 0
     for c in range(ncols):
         cand = [i for i in range(r, len(matrix)) if matrix[i][c]]
@@ -134,23 +133,24 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
             if i != r:
                 f = row[c]
                 matrix[i] = [
-                    _pdiv_exact(_padd(_pmul(pivot, x), _pneg(_pmul(f, y))),
-                                prev) if x or (f and y) else {}
+                    plan.divide(_pcross(pivot, x, f, y), prev)
+                    if x or (f and y) else {}
                     for x, y in zip(row, pivot_row)]
         prev = pivot
         pivots.append((r, c))
         r += 1
 
     # every pivot now equals prev, the minor D
+    minor = plan.unpack_poly(prev)
     pivot_cols = {c for _, c in pivots}
     basis: list[list[PhaseScalar]] = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
         vec = [{} for _ in range(ncols)]
-        vec[free] = _unscale(prev, s)
+        vec[free] = minor
         for rp, pc in pivots:
-            vec[pc] = _unscale(_pneg(matrix[rp][free]), s)
+            vec[pc] = {plan.unpack(k): -x for k, x in matrix[rp][free].items()}
         lead = next(k for k, x in enumerate(vec) if x)
         basis.append([PhaseScalar.one(arity) if k == lead
                       else PhaseScalar(x, vec[lead], arity)

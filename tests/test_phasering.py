@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from qscreen.phase import (
     ArityMismatchError,
     DenominatorVanishesError,
+    KeyPacking,
     PhaseScalar,
     _padd,
     _pdiv_exact,
     _pmul,
     q_number,
     q_power,
+    rational,
+    term_order,
     z_power,
 )
 
@@ -268,6 +271,77 @@ def test_reduce_exact_on_thirds():
     kept = (q / (1 + q)).reduce_exact()
     assert kept.num == {(Fraction(1, 3), ()): 1}
     assert kept.den == {(0, ()): 1, (Fraction(1, 3), ()): 1}
+
+
+# ---- packed monomial keys ----
+
+@st.composite
+def packed_keys(draw):
+    """A packing plan over some keys of arity 0-3 with q-exponent
+    denominators 1-4, those keys and the plan's factor count."""
+    arity = draw(st.integers(0, 3))
+    key = st.tuples(
+        st.builds(lambda n, d: rational(Fraction(n, d)),
+                  st.integers(-12, 12), st.integers(1, 4)),
+        st.tuples(*[st.integers(-5, 5)] * arity))
+    keys = draw(st.lists(key, min_size=1, max_size=6))
+    factors = draw(st.integers(1, 3))
+    return KeyPacking([dict.fromkeys(keys, 1)], arity, factors), keys, factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_keys())
+def test_packing_round_trips_in_term_order(case):
+    plan, keys, _ = case
+    for k in keys:
+        back = plan.unpack(plan.pack(k))
+        assert back == k
+        assert type(back[0]) is type(k[0])
+    for k1 in keys:
+        for k2 in keys:
+            assert ((term_order(k1) < term_order(k2))
+                    == (plan.pack(k1) < plan.pack(k2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_keys())
+def test_packed_sums_are_monomial_products(case):
+    """Within the plan a key sum is the product monomial's key and a key
+    difference decodes to the quotient monomial, without carry."""
+    plan, keys, factors = case
+    for k1 in keys:
+        for k2 in keys:
+            (quotient,) = _pdiv_exact({k1: 1}, {k2: 1})
+            assert plan.unpack(plan.pack(k1) - plan.pack(k2)) == quotient
+            if factors >= 2:
+                (product,) = _pmul({k1: 1}, {k2: 1})
+                assert plan.pack(k1) + plan.pack(k2) == plan.pack(product)
+                assert plan.unpack(plan.pack(k1) + plan.pack(k2)) == product
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_keys(), st.data())
+def test_packing_beyond_the_plan_raises(case, data):
+    """Each field admits the largest |exponent| of the plan's input times
+    its factor count, and nothing past it; a q-exponent off the plan's
+    denominator raises as well."""
+    plan, keys, factors = case
+    slot = data.draw(st.integers(0, plan.arity), label="field")
+    sign = data.draw(st.sampled_from([1, -1]), label="sign")
+    a, m = keys[0]
+    if slot < plan.arity:
+        top = factors * max(abs(k[1][slot]) for k in keys)
+        m = m[:slot] + (sign * top,) + m[slot + 1:]
+        assert plan.unpack(plan.pack((a, m))) == (a, m)
+        m = m[:slot] + (sign * (top + 1),) + m[slot + 1:]
+    else:
+        top = factors * max(abs(k[0]) for k in keys)
+        assert plan.unpack(plan.pack((sign * top, m)))[0] == sign * top
+        a = sign * (top + Fraction(1, plan.scale))
+    with pytest.raises(ValueError):
+        plan.pack((a, m))
+    with pytest.raises(ValueError):
+        plan.pack((Fraction(1, 5 * plan.scale), keys[0][1]))
 
 
 # ---- the scalar core: int, or Fraction when non-integral ----

@@ -337,6 +337,91 @@ def test_concrete_kernel_contains_generic_kernel(name, md, coords):
     assert concrete_dim >= generic_dim
 
 
+# Wide exponent spread, to stress the packing plan's field widths: 5x6
+# matrices of sums c·q^a·z1^m1·z2^m2 with |a| <= 40 in denominators 1-4
+# and |m| <= 5, the extremes drawn often.  The oracle works in sympy's
+# polynomial ring over T = q^(1/12), z1, z2, every Laurent sum shifted by
+# one fixed monomial.
+WIDE_Q = st.one_of(st.sampled_from([-40, 40]), st.builds(
+    lambda n, d: Fraction(n, d), st.integers(-40, 40), st.integers(1, 4)
+).filter(lambda a: abs(a) <= 40))
+WIDE_Z = st.one_of(st.sampled_from([-5, 5]), st.integers(-5, 5))
+WIDE_TERM = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), WIDE_Q,
+                      st.tuples(WIDE_Z, WIDE_Z))
+RING = sp.ring("T z1 z2", sp.QQ)[0]
+# past every exponent of a minor, where the combined row counts twice:
+# 6·40·12 in T, 6·5 in z
+SHIFT = (2881, 31, 31)
+
+
+def wide_entry(terms):
+    return sum((PhaseScalar.monomial(c, a, m, 2) for c, a, m in terms),
+               PhaseScalar.zero(2))
+
+
+@st.composite
+def wide_matrices(draw):
+    """5x6 matrices; in some draws the last row is a monomial combination
+    of two others, so the kernel has two dimensions."""
+    entry = st.lists(WIDE_TERM, min_size=0, max_size=2)
+    rows = [[wide_entry(draw(entry)) for _ in range(6)] for _ in range(5)]
+    if draw(st.booleans()):
+        u, w = (wide_entry([draw(WIDE_TERM)]) for _ in range(2))
+        rows[4] = [u * x + w * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def ring_poly(p):
+    """A Laurent sum, times T^SHIFT[0]·z1^SHIFT[1]·z2^SHIFT[2], in RING."""
+    terms = {(q_to_t(a) + SHIFT[0], m[0] + SHIFT[1], m[1] + SHIFT[2]):
+             sp.Rational(c) for (a, m), c in p.items()}
+    assert all(min(exps) >= 0 for exps in terms)
+    return RING(terms)
+
+
+def rank_at(rows, point):
+    """The exact rank over Q of the matrix at one rational point."""
+    t, z1, z2 = map(sp.Rational, point)
+
+    def value(p):
+        return sum(sp.Rational(c) * t ** q_to_t(a) * z1 ** m[0] * z2 ** m[1]
+                   for (a, m), c in p.items())
+
+    matrix = sp.Matrix([[value(x.num) for x in row] for row in rows])
+    return DomainMatrix.from_Matrix(matrix).to_field().rank()
+
+
+@settings(max_examples=25, deadline=None)
+@given(wide_matrices())
+def test_nullspace_matches_sympy_on_a_wide_exponent_spread(rows):
+    basis = nullspace(rows, 6, 2)
+    # every vector lies in the kernel: with the distinct denominators of
+    # a vector multiplied out, each row sum vanishes as a polynomial
+    for vec in basis:
+        dens = []
+        for x in vec:
+            if x.den not in dens:
+                dens.append(x.den)
+        for row in rows:
+            total = RING.zero
+            for m_ij, x in zip(row, vec):
+                term = ring_poly(m_ij.num) * ring_poly(x.num)
+                for d in dens:
+                    if d != x.den:
+                        term *= ring_poly(d)
+                total += term
+            assert total == 0
+    # each vector is the only one nonzero at some column, so they are
+    # independent and the rank is at most 6 - len(basis); the rank at a
+    # point bounds it from below
+    for vec in basis:
+        assert any(not x.is_zero() and all(other[c].is_zero()
+                                           for other in basis if other is not vec)
+                   for c, x in enumerate(vec))
+    points = ((2, 3, 5), ("3/2", 7, -2))
+    assert max(rank_at(rows, pt) for pt in points) == 6 - len(basis)
+
+
 def test_nullspace_rejects_quotient_entries():
     q = q_power(1, 0)
     with pytest.raises(ValueError):
