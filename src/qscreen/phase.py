@@ -148,6 +148,7 @@ class KeyPacking:
         return digits
 
     def join(self, digits: Sequence[int]) -> int:
+        """The packed key of digits given most significant first."""
         k = 0
         for e, b in zip(digits, self._widths):
             k = (k << b) + e

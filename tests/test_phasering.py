@@ -344,6 +344,21 @@ def test_packing_beyond_the_plan_raises(case, data):
         plan.pack((Fraction(1, 5 * plan.scale), keys[0][1]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(packed_keys(), st.data())
+def test_guard_box_check_reads_every_field(case, data):
+    """`admits` tells, without decoding, whether every digit lies in its
+    field's guard box [-G, G), for digits up to 3G from zero."""
+    plan, keys, factors = case
+    tops = [max(abs(k[1][v]) for k in keys) for v in range(plan.arity)]
+    tops.append(int(max(abs(k[0]) for k in keys) * plan.scale))
+    guards = [1 << (factors * t).bit_length() for t in tops]
+    digits = [data.draw(st.integers(-3 * g, 3 * g)) for g in guards]
+    k = plan.join(digits)
+    assert plan.split(k) == digits
+    assert plan.admits(k) == all(-g <= e < g for e, g in zip(digits, guards))
+
+
 # ---- the scalar core: int, or Fraction when non-integral ----
 
 q_exps = st.one_of(st.integers(-4, 4),
