@@ -35,8 +35,8 @@ least int key.  The plan sizes each field from the largest |exponent| of
 its input and from how many factors a key may accumulate, so every key
 the computation forms, and the difference of any two, decodes without
 carry; packing an exponent beyond the plan raises ValueError rather than
-alias another key.  `_pdiv_exact` packs once, divides on ints and unpacks
-once, and `serre.nullspace` packs its whole matrix once.
+alias another key.  `KeyPacking.divide`, the one long-division loop,
+serves `_pdiv_exact` and `serre.nullspace`.
 
 Almost every product met in practice is a monomial times a sum.  `_pmul`
 computes it by shifting the sum's keys, which cannot merge or cancel, and
@@ -102,10 +102,12 @@ class KeyPacking:
 
     The plan's range in a field is the largest |exponent| there in the
     input sums times `factors`, the number of input monomials a key may
-    multiply together.  Its guard box is [-G, G), G the least power of two
-    above that range, and the field holds [-4G, 4G).  A key in the guard
-    box, a sum of two and such a sum less a third (a Bareiss cross term
-    less the divisor) all decode without carry.
+    multiply together: 2 for a quotient in `_pdiv_exact`, the column
+    count for the minors of `serre.nullspace`.  Its guard box is [-G, G),
+    G the least power of two above that range, and the field holds
+    [-4G, 4G).  A key in the guard box, a sum of two and such a sum less
+    a third (a Bareiss cross term less the divisor) all decode without
+    carry.
     """
 
     __slots__ = ("arity", "scale", "_limits", "_widths", "_offset", "_mask")
@@ -135,18 +137,6 @@ class KeyPacking:
             mask = (mask << b) | ((1 << b) - (1 << g))
         self._mask = mask
 
-    def digits(self, key: Key) -> list[int]:
-        """The digits of key, most significant first; ValueError beyond
-        the plan."""
-        a, m = key
-        if len(m) != self.arity or self.scale % a.denominator:
-            raise ValueError(f"key {key} is off the packing plan")
-        digits = [*m, -a.numerator * (self.scale // a.denominator)]
-        for e, lim in zip(digits, self._limits):
-            if not -lim <= e <= lim:
-                raise ValueError(f"key {key} is off the packing plan")
-        return digits
-
     def join(self, digits: Sequence[int]) -> int:
         """The packed key of digits given most significant first."""
         k = 0
@@ -166,7 +156,13 @@ class KeyPacking:
         return digits
 
     def pack(self, key: Key) -> int:
-        return self.join(self.digits(key))
+        """The packed key; ValueError beyond the plan."""
+        a, m = key
+        if len(m) == self.arity and not self.scale % a.denominator:
+            digits = [*m, -a.numerator * (self.scale // a.denominator)]
+            if all(-lim <= e <= lim for e, lim in zip(digits, self._limits)):
+                return self.join(digits)
+        raise ValueError(f"key {key} is off the packing plan")
 
     def unpack(self, k: int) -> Key:
         *m, e = self.split(k)
@@ -180,14 +176,20 @@ class KeyPacking:
 
     def admits(self, k: int) -> bool:
         """Whether every digit of k lies in the guard box, for a k whose
-        digits lie within three guard widths of zero, as every key that
-        `serre.nullspace` forms does: one add and one mask, no decode."""
+        digits lie within three guard widths of zero, as every quotient key
+        that `divide` forms does: one add and one mask, no decode."""
         return not (k + self._offset) & self._mask
 
     def divide(self, n: dict[int, Rational],
                d: dict[int, Rational]) -> dict[int, Rational]:
-        """The packed quotient n / d, with every quotient key guarded by
-        the plan's box in place of `_pdiv_exact`'s box from n and d."""
+        """The packed quotient n / d, for a d that divides n; ValueError
+        otherwise.  Long division from the least keys (`term_order`'s
+        leading terms): quotient keys rise strictly, and one past
+        max n - max d or out of the guard box proves that d does not divide
+        n.  The box makes the loop finite where lex order alone does not:
+        the quotient keys 1, z2, z2^2, ... of (1 - z1)/(1 - z2) never pass
+        z1·z2^-1.
+        """
         if len(d) == 1:
             ((k0, c0),) = d.items()
             if k0 == 0 and c0 == 1:
@@ -195,7 +197,28 @@ class KeyPacking:
             return {k - k0: ratio(c, c0) for k, c in n.items()}
         if not n:
             return {}
-        return _pdiv_ints(n, d, max(n) - max(d), self.admits)
+        admits = self.admits
+        stop = max(n) - max(d)
+        lead = min(d)
+        lead_c = d[lead]
+        rest = [(k - lead, c) for k, c in d.items() if k != lead]
+        rem = dict(n)
+        out: dict[int, Rational] = {}
+        while rem:
+            low = min(rem)
+            key = low - lead
+            if key > stop or not admits(key):
+                raise ValueError("exact division: the divisor does not divide")
+            c = ratio(rem.pop(low), lead_c)
+            out[key] = c
+            for k, dc in rest:
+                k += low
+                v = rem.get(k, 0) - c * dc
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+        return out
 
 
 def _zero_key(arity: int) -> Key:
@@ -245,64 +268,16 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
 def _pdiv_exact(n: Poly, d: Poly) -> Poly:
     """The quotient n / d, for a sum d that divides n; ValueError otherwise.
 
-    Long division from the leading (`term_order`-least) terms: each quotient
-    term cancels the remainder's leading term, so quotient terms rise
-    strictly.  Because `term_order` is not a well-order, the loop needs a
-    stop bound.  An exact quotient ends at HT(n)/HT(d), the ratio of the
-    highest terms, and each of its exponents lies between the per-variable
-    extremes of n less those of d.  A quotient term past either bound
-    proves that d does not divide n.  The exponent box is what makes the
-    loop finite in several variables, where lex order alone is not: the
-    quotient terms 1, z2, z2^2, ... of (1 - z1)/(1 - z2) never pass
-    HT(n)/HT(d) = z1·z2^-1.  The division runs on keys packed by one
-    `KeyPacking` plan for n and d.
+    A one-term d divides term by term; otherwise `KeyPacking.divide` runs
+    on one plan for n and d.  A true quotient's exponents lie in
+    [min n - max d, max n - min d], so a plan for two factors holds them.
     """
     if not d:
         raise ZeroDivisionError("exact division by the zero sum")
     if len(d) == 1:
         return _pdiv_term(n, *next(iter(d.items())))
-    if not n:
-        return {}
-    plan = KeyPacking((n, d), len(next(iter(d))[1]))
-    n_digits = [plan.digits(k) for k in n]
-    d_digits = [plan.digits(k) for k in d]
-    lo = [min(e) - min(f) for e, f in zip(zip(*n_digits), zip(*d_digits))]
-    hi = [max(e) - max(f) for e, f in zip(zip(*n_digits), zip(*d_digits))]
-    n_packed = {plan.join(e): c for e, c in zip(n_digits, n.values())}
-    d_packed = {plan.join(e): c for e, c in zip(d_digits, d.values())}
-
-    def in_box(k: int) -> bool:
-        return all(l <= e <= h for l, e, h in zip(lo, plan.split(k), hi))
-
-    quotient = _pdiv_ints(n_packed, d_packed, max(n_packed) - max(d_packed),
-                          in_box)
-    return plan.unpack_poly(quotient)
-
-
-def _pdiv_ints(n: dict[int, Rational], d: dict[int, Rational], stop: int,
-               admits) -> dict[int, Rational]:
-    """Long division of packed sums, the loop of `_pdiv_exact`: a quotient
-    key past `stop`, or one that `admits` rejects, raises ValueError."""
-    lead = min(d)
-    lead_c = d[lead]
-    rest = [(k - lead, c) for k, c in d.items() if k != lead]
-    rem = dict(n)
-    out: dict[int, Rational] = {}
-    while rem:
-        low = min(rem)
-        key = low - lead
-        if key > stop or not admits(key):
-            raise ValueError("exact division: the divisor does not divide")
-        c = ratio(rem.pop(low), lead_c)
-        out[key] = c
-        for k, dc in rest:
-            k += low
-            v = rem.get(k, 0) - c * dc
-            if v:
-                rem[k] = v
-            else:
-                del rem[k]
-    return out
+    plan = KeyPacking((n, d), len(next(iter(d))[1]), 2)
+    return plan.unpack_poly(plan.divide(plan.pack_poly(n), plan.pack_poly(d)))
 
 
 def _pcross(p: dict[int, Rational], x: dict[int, Rational],
@@ -510,8 +485,8 @@ class PhaseScalar:
 
         Meant for values with no z left to specialize (a concrete weight):
         at generic weight an un-cancelled factor marks where a
-        specialization must report `denominator-vanishes`.  The division
-        runs on packed keys (`_pdiv_exact`).
+        specialization must report `denominator-vanishes`.  `_pdiv_exact`
+        divides, through `KeyPacking.divide`.
         """
         try:
             quotient = _pdiv_exact(self.num, self.den)

@@ -154,28 +154,31 @@ CATALOG: dict[str, RootDatum] = {
 #
 # {"name": "my_algebra", "rank": 2, "gram": [[2, -1], [-1, 0]], "odd": [2]}
 #
-# Gram entries may be integers or "p/q" strings; "odd" lists 1-based indices.
-# "rank" defaults to the size of "gram", and "name", when given, names the
-# algebra in reports instead of the file path.
+# Gram entries may be integers or "p/q" strings; "odd" is a list of 1-based
+# integer indices.  "rank", an integer, defaults to the size of "gram", and
+# "name", when given, names the algebra in reports instead of the file path.
 
 def datum_from_config(obj: dict, name: str = "") -> RootDatum:
     if not isinstance(obj, dict):
         raise ConfigError("algebra config must be a JSON object")
     try:
         raw_gram = obj["gram"]
-        rank = int(obj["rank"]) if "rank" in obj else len(raw_gram)
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = obj["rank"] if "rank" in obj else len(raw_gram)
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad algebra config: {exc}") from exc
+    if type(rank) is not int:
+        raise ConfigError(f"rank must be an integer, not {rank!r}")
     try:
         gram = tuple(tuple(rational(str(x)) for x in row) for row in raw_gram)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad gram entry: {exc}") from exc
-    odd_raw = obj.get("odd", [])
-    try:
-        odd = frozenset(int(j) - 1 for j in odd_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad odd-root list: {exc}") from exc
-    return RootDatum(rank=rank, gram=gram, odd=odd,
+    odd = obj.get("odd", [])
+    if type(odd) is not list or any(type(j) is not int for j in odd):
+        raise ConfigError(f"odd must be a list of integers, not {odd!r}")
+    for j in odd:
+        if not 1 <= j <= rank:
+            raise ConfigError(f"odd root {j} out of range 1..{rank}")
+    return RootDatum(rank=rank, gram=gram, odd=frozenset(j - 1 for j in odd),
                      name=str(obj.get("name") or name))
 
 

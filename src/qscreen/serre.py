@@ -107,9 +107,8 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
 
     The entries are packed on entry by one `KeyPacking` plan, sized for
     minors of order up to ncols, so that the elimination multiplies,
-    subtracts and divides sums keyed by ints.  Each quotient key is checked
-    against the plan's guard box instead of a box read off the dividend.
-    Only D and the kernel entries are unpacked.
+    subtracts and divides (`KeyPacking.divide`) sums keyed by ints.  Only
+    D and the kernel entries are unpacked.
     """
     one = PhaseScalar.one(arity).num
     if any(e.den != one for row in rows for e in row):

@@ -350,6 +350,16 @@ def test_malformed_config_contents(capsys, tmp_path):
     assert "symmetric" in err
 
 
+def test_config_with_malformed_values_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "alg.json"
+    for bad in ({"odd": [1.5]}, {"odd": [True]}, {"odd": "12"}, {"odd": [0]},
+                {"rank": 2.5}):
+        cfg.write_text(json.dumps({"gram": [[2, -1], [-1, 0]], **bad}))
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("error:"), bad
+
+
 def assert_usage_error(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 2, argv

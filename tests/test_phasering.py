@@ -200,6 +200,12 @@ def test_exact_division_known_quotients():
     # (1 - z1^2) / (1 + z1) = 1 - z1
     assert _pdiv_exact(_sum((1, 0, (0,)), (-1, 0, (2,))),
                        _sum((1, 0, (0,)), (1, 0, (1,)))) == _sum((1, 0, (0,)), (-1, 0, (1,)))
+    # quotients beyond every input exponent: (q^2 + q^3) / (q^-3 + q^-2) = q^5
+    # and (z1^2 + z1^3) / (z1^-3 + z1^-2) = z1^5
+    assert _pdiv_exact(_sum((1, 2, ()), (1, 3, ())),
+                       _sum((1, -3, ()), (1, -2, ()))) == _sum((1, 5, ()))
+    assert _pdiv_exact(_sum((1, 0, (2,)), (1, 0, (3,))),
+                       _sum((1, 0, (-3,)), (1, 0, (-2,)))) == _sum((1, 0, (5,)))
     assert _pdiv_exact({}, _sum((1, 0, ()), (1, 1, ()))) == {}
     with pytest.raises(ZeroDivisionError):
         _pdiv_exact(_sum((1, 0, ())), {})
@@ -222,7 +228,8 @@ def _divide_or_time_out(n, d, seconds=1.0):
 
 def test_exact_division_stops_on_infinite_series():
     # 1 / (1 - q) and (1 - z1) / (1 - z2) only expand as infinite series; the
-    # second never passes HT(n)/HT(d) in lex order and needs the exponent box
+    # second never passes HT(n)/HT(d) in lex order and stops at the plan's
+    # guard box
     with pytest.raises(ValueError):
         _divide_or_time_out(_sum((1, 0, ())), _sum((1, 0, ()), (-1, 1, ())))
     with pytest.raises(ValueError):

@@ -118,10 +118,21 @@ def test_config_rejects_garbage():
         {"rank": 1, "gram": [["x"]]},
         {"rank": 1, "gram": [["1/0"]]},
         {"rank": 1, "gram": [[2]], "odd": ["a"]},
+        {"rank": 1, "gram": [[2]], "odd": [1.5]},
+        {"rank": 1, "gram": [[2]], "odd": [True]},
+        {"rank": 2, "gram": [[2, -1], [-1, 2]], "odd": "12"},
+        {"rank": 2, "gram": [[2, -1], [-1, 2]], "odd": [0]},
+        {"rank": 2, "gram": [[2, -1], [-1, 2]], "odd": [3]},
+        {"rank": 2.5, "gram": [[2, -1], [-1, 2]]},
+        {"rank": "2", "gram": [[2, -1], [-1, 2]]},
+        {"rank": True, "gram": [[2]]},
         [],
     ]:
         with pytest.raises(ConfigError):
             datum_from_config(bad)
+    # an out-of-range odd root is named as written, 1-based
+    with pytest.raises(ConfigError, match=r"odd root 0 out of range 1\.\.2"):
+        datum_from_config({"gram": [[2, -1], [-1, 2]], "odd": [0]})
 
 
 def test_resolve_algebra():
