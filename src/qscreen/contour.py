@@ -8,7 +8,8 @@ phase-scalar coefficients:
   * the lowering operator for root j nests one more contour of type j around
     the whole configuration (so it prepends to the sequence);
   * the Cartan operator K_j scales a state by q^{-sum_i n_ij} z_j^{-1}, where
-    n_ij are Gram entries and z_j is the weight phase of root j;
+    n_ij are Gram entries and z_j is the weight phase of root j; that
+    factor is one monomial, built by `ModuleContext.qz`;
   * the raising operator first removes one contour of type j wherever the
     sequence allows (the hatted part below), then applies K_j.
 
@@ -23,7 +24,9 @@ product over the contours *outside* position l,
 
 whose sign keeps track of odd contours passing odd contours.  The product
 is a signed power of q, so `apply_raising_hat` carries it as a plain
-(exponent, sign) pair and builds one monomial per removed contour.
+(exponent, sign) pair.  The removal factor, crossing times bracket,
+depends only on (sign, exponent, inner Gram sum), so one call builds it
+once per such triple and multiplies each coefficient by it once.
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.
@@ -121,6 +124,15 @@ class ModuleContext:
             return z_power(self.z_offset + j, n, self.arity)
         return q_power(-n * self.weight.root_pairing(self.datum, j), self.arity)
 
+    def qz(self, a, j: int, n: int) -> PhaseScalar:
+        """The monomial q^a z_j^n, built as one scalar: `q(a) * z(j, n)`
+        without the product."""
+        if self.weight.is_generic:
+            m = [0] * self.arity
+            m[self.z_offset + j] = n
+            return PhaseScalar.monomial(1, a, m, self.arity)
+        return q_power(a - n * self.weight.root_pairing(self.datum, j), self.arity)
+
     def bracket_denominator(self, j: int) -> PhaseScalar:
         d = self.datum.symmetrizer(j)
         return self.q(d) - self.q(-d)
@@ -203,12 +215,12 @@ def apply_lowering(ctx: ModuleContext, j: int, v: Vector) -> Vector:
 
 
 def apply_cartan(ctx: ModuleContext, j: int, v: Vector, sign: int = 1) -> Vector:
-    """K_j^{sign}: diagonal in the contour basis."""
+    """K_j^{sign}: diagonal in the contour basis; each state's factor
+    q^{-sign sum_i n_ij} z_j^{-sign} is one monomial (`ModuleContext.qz`)."""
     out: Vector = {}
     for seq, c in v.items():
         exp = -sum(ctx.datum.pair(j, i) for i in seq)
-        factor = ctx.q(sign * exp) * ctx.z(j, -sign)
-        out[seq] = c * factor
+        out[seq] = c * ctx.qz(sign * exp, j, -sign)
     return out
 
 
@@ -219,10 +231,15 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
     With clear_denominator=True the constant 1/(q_j - q_j^{-1}) is omitted,
     leaving Laurent-polynomial coefficients; the kernel of the operator is
     unchanged, which is what the singular-vector scanner relies on.
+
+    The removal factor crossing * bracket is built once per (sign,
+    exponent, inner) triple met in this call, and each coefficient is
+    multiplied by it once.
     """
     denom = (PhaseScalar.one(ctx.arity) if clear_denominator
              else ctx.bracket_denominator(j))
     zeros = (0,) * ctx.arity
+    factors: dict[tuple, PhaseScalar] = {}
     out: Vector = {}
     for seq, c in v.items():
         # the crossing product over the contours outside position l
@@ -230,9 +247,13 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
         for l, i in enumerate(seq):
             if i == j:
                 inner = sum(ctx.datum.pair(j, ip) for ip in seq[l + 1:])
-                bracket = (1 - ctx.q(2 * inner) * ctx.z(j, 2)) / denom
-                crossing = PhaseScalar.monomial(sign, exp, zeros, ctx.arity)
-                accumulate(out, [(seq[:l] + seq[l + 1:], c * crossing * bracket)])
+                key = (sign, exp, inner)
+                factor = factors.get(key)
+                if factor is None:
+                    bracket = (1 - ctx.qz(2 * inner, j, 2)) / denom
+                    crossing = PhaseScalar.monomial(sign, exp, zeros, ctx.arity)
+                    factor = factors[key] = crossing * bracket
+                accumulate(out, [(seq[:l] + seq[l + 1:], c * factor)])
             e, s = ctx.crossing_factor(j, i)
             exp += e
             sign *= s

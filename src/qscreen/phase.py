@@ -38,8 +38,14 @@ carry; packing an exponent beyond the plan raises ValueError rather than
 alias another key.  `KeyPacking.divide`, the one long-division loop,
 serves `_pdiv_exact` and `serre.nullspace`.
 
-Almost every product met in practice is a monomial times a sum.  `_pmul`
-computes it by shifting the sum's keys, which cannot merge or cancel, and
+Almost every product met in practice is a monomial times a sum, and more
+than half of them have the exact unit as one factor.  `__mul__` returns
+the other operand when one side is 1 (a one-term numerator equal to its
+one-term denominator, which `__init__` keeps exactly 1), and `__add__`
+returns the other operand when one side is 0; both check the arities
+first.  Returning an operand as it is is safe because scalars are never
+mutated after construction.  Otherwise `_pmul` computes a monomial times
+a sum by shifting the sum's keys, which cannot merge or cancel, and
 `__mul__` does not multiply two unit denominators.  Sums and products are
 built through `PhaseScalar._of`, which skips the strip and the unit fold
 that the public constructor applies to outside input: `_padd` and `_pmul`
@@ -221,6 +227,10 @@ class KeyPacking:
         return out
 
 
+def _mixed_arities(a: int, b: int) -> ArityMismatchError:
+    return ArityMismatchError(f"mixed scalar arities {a} and {b}")
+
+
 def _zero_key(arity: int) -> Key:
     return (0, (0,) * arity)
 
@@ -384,8 +394,7 @@ class PhaseScalar:
     def _coerce(self, other) -> "PhaseScalar":
         if isinstance(other, PhaseScalar):
             if other.arity != self.arity:
-                raise ArityMismatchError(
-                    f"mixed scalar arities {self.arity} and {other.arity}")
+                raise _mixed_arities(self.arity, other.arity)
             return other
         if isinstance(other, (int, Fraction)):
             return PhaseScalar.from_rational(other, self.arity)
@@ -402,6 +411,10 @@ class PhaseScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return PhaseScalar._of(_padd(self.num, other.num), self.den,
                                    self.arity)
@@ -423,9 +436,18 @@ class PhaseScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if isinstance(other, PhaseScalar):
+            if other.arity != self.arity:
+                raise _mixed_arities(self.arity, other.arity)
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # A one-term den is exactly 1 (see `__init__`): num == den is then 1.
+        if len(other.den) == 1 and other.num == other.den:
+            return self
+        if len(self.den) == 1 and self.num == self.den:
+            return other
         if len(self.den) == len(other.den) == 1:
             den = self.den  # both are the unit: see `__init__`
         else:

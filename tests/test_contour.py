@@ -5,6 +5,7 @@ formulas and are frozen: any change in conventions will show up as a diff
 against these strings.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscreen.contour import (
+    NO_FAULTS,
     DepthExceededError,
     FaultInjection,
     ModuleContext,
+    accumulate,
     apply_cartan,
     apply_lowering,
     apply_raising,
@@ -179,6 +182,62 @@ def test_fault_injection_changes_results():
     flipped = ctx_for("sl2", faults=FaultInjection(flip_raising_prefactor=True))
     assert not vec_eq(apply_raising_hat(clean2, 0, v2),
                       apply_raising_hat(flipped, 0, v2))
+
+
+def _stored(v):
+    return {seq: (c.num, c.den) for seq, c in v.items()}
+
+
+STORED_FORM_CASES = [("sl3", Weight.generic()), ("sl2_1", Weight.generic()),
+                     ("osp1_2", Weight.generic()),
+                     ("sl3", Weight.concrete([Fraction(-3, 2), Fraction(5, 3)])),
+                     ("sl2_1", Weight.concrete([Fraction(-7, 2), Fraction(-5, 3)]))]
+STORED_FORM_FAULTS = [NO_FAULTS, FaultInjection(flip_raising_prefactor=True),
+                      FaultInjection(drop_hat_parity=True)]
+
+
+@pytest.mark.parametrize("name, weight", STORED_FORM_CASES,
+                         ids=lambda x: x if isinstance(x, str) else x.label)
+def test_generator_factors_keep_the_formula_stored_form(name, weight):
+    """`apply_raising_hat` and `apply_cartan` store exactly the num and den
+    of the module docstring's formula, computed here term by term, on a
+    vector of every state up to depth 4, with a unit and with a non-unit
+    coefficient on each."""
+    datum = CATALOG[name]
+    seqs = [seq for n in range(5)
+            for seq in itertools.product(range(datum.rank), repeat=n)]
+    for faults in STORED_FORM_FAULTS:
+        ctx = ModuleContext(datum=datum, weight=weight, faults=faults)
+        q = ctx.q
+        one = PhaseScalar.one(ctx.arity)
+        for c, j in itertools.product(
+                [one, (1 - q(Fraction(1, 2)) * ctx.z(0)) / (q(1) + q(-1))],
+                range(datum.rank)):
+            v = {seq: c for seq in seqs}
+            for sign in (1, -1):
+                expected = {seq: c * (q(-sign * sum(datum.pair(j, i) for i in seq))
+                                      * ctx.z(j, -sign)) for seq in seqs}
+                got = apply_cartan(ctx, j, v, sign=sign)
+                assert _stored(got) == _stored(expected)
+            for clear in (False, True):
+                denom = one if clear else ctx.bracket_denominator(j)
+                expected = {}
+                for seq, l in itertools.product(seqs, range(4)):
+                    if l >= len(seq) or seq[l] != j:
+                        continue
+                    crossing = one
+                    for i in seq[:l]:
+                        e = datum.pair(j, i)
+                        crossing = crossing * q(-e if faults.flip_raising_prefactor else e)
+                        if (datum.parity(j) * datum.parity(i)
+                                and not faults.drop_hat_parity):
+                            crossing = -crossing
+                    inner = sum(datum.pair(j, i) for i in seq[l + 1:])
+                    bracket = (1 - q(2 * inner) * ctx.z(j, 2)) / denom
+                    accumulate(expected, [(seq[:l] + seq[l + 1:],
+                                           c * crossing * bracket)])
+                got = apply_raising_hat(ctx, j, v, clear_denominator=clear)
+                assert _stored(got) == _stored(expected)
 
 
 def test_word_tokens_roundtrip():

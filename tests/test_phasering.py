@@ -1,5 +1,6 @@
 """Tests for the exact phase-scalar field."""
 
+import operator
 import signal
 from fractions import Fraction
 
@@ -90,6 +91,24 @@ def test_arity_mismatch_raises():
         q_power(1, 1) * z_power(1, 1, 2)
     with pytest.raises(ArityMismatchError):
         z_power(3, 1, 2)
+
+
+def test_arity_mismatch_raises_before_the_unit_and_zero_shortcuts():
+    """`*` returns the other operand for a unit and `+` for a zero, but only
+    after the arity check, whichever side holds the unit or the zero."""
+    pairs = [(PhaseScalar.one(1), q_power(1, 2)),
+             (q_power(1, 1), PhaseScalar.one(2)),
+             (PhaseScalar.zero(1), q_power(1, 2)),
+             (q_power(1, 1), PhaseScalar.zero(2))]
+    for arity in (1, 2):
+        other = q_power(1, 3 - arity)
+        for n in (0, 1, 3):
+            c = PhaseScalar.from_rational(n, arity)
+            pairs += [(c, other), (other, c)]
+    for a, b in pairs:
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ArityMismatchError):
+                op(a, b)
 
 
 def test_substitute_z_specializes():
@@ -540,3 +559,14 @@ def test_reduce_exact_recovers_the_factor(pair):
     assert reduced.num == a
     _assert_canonical(reduced)
     assert all(type(k) is int or k.denominator != 1 for k, _ in reduced.num)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(scalars))
+def test_unit_and_zero_operands_keep_the_stored_form(a):
+    """Multiplying by 1 and adding 0, as scalars or as ints, leave the
+    stored num and den exactly as they were."""
+    one, zero = PhaseScalar.one(a.arity), PhaseScalar.zero(a.arity)
+    for x in (a * one, one * a, a + zero, zero + a, a * 1, 1 * a, a + 0, 0 + a):
+        assert x.num == a.num and x.den == a.den
+        _assert_canonical(x)
