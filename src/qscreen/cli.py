@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .contour import (
     DepthExceededError,
@@ -145,6 +144,10 @@ def _relation_chunk(payload) -> list[IdentityRecord]:
 def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
                        faults: FaultInjection, workers: int) -> VerificationReport:
     """The relation suite, sharded over at most one process per relation."""
+    # Imported on call: it loads multiprocessing, which only --workers N>1
+    # needs, so no other command pays for the import.
+    from concurrent.futures import ProcessPoolExecutor
+
     names = [name for name, _ in defining_relations(datum, 0)]
     n = min(workers, len(names))
     chunks = [names[k::n] for k in range(n)]

@@ -255,13 +255,10 @@ def split_lowering(tctx: TensorContext, j: int, tv: TensorVector) -> TensorVecto
     for (s1, s2), c in tv.items():
         outer = apply_lowering(left, j, {s1: c})
         accumulate(out, (((t1, s2), c1) for t1, c1 in outer.items()))
-        crossing = left.z(j, 1)
-        for i in s1:
-            exp = datum.pair(j, i)
-            factor = left.q(exp)
-            if datum.parity(j) * datum.parity(i) and not tctx.faults.drop_hat_parity:
-                factor = -factor
-            crossing = crossing * factor
+        crossing = left.qz(sum(datum.pair(j, i) for i in s1), j, 1)
+        odd = sum(datum.parity(j) * datum.parity(i) for i in s1)
+        if odd % 2 and not tctx.faults.drop_hat_parity:
+            crossing = -crossing
         inner = apply_lowering(right, j, {s2: c * crossing})
         accumulate(out, (((s1, t2), c2) for t2, c2 in inner.items()))
     return out

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import pickle
@@ -442,9 +443,7 @@ class InlinePool:
 @pytest.mark.parametrize("workers, size", [("5000", 15), ("2", 2)])
 def test_verify_pool_has_at_most_one_worker_per_relation(capsys, monkeypatch,
                                                          workers, size):
-    from qscreen import cli
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     argv = ("verify", "--algebra", "sl3", "--suite", "relations", "--depth",
             "3", "--format", "json", "--inject-fault", "flip_raising_prefactor")
@@ -456,9 +455,7 @@ def test_verify_pool_has_at_most_one_worker_per_relation(capsys, monkeypatch,
 
 
 def test_verify_all_with_workers_matches_serial(capsys, monkeypatch):
-    from qscreen import cli
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     argv = ("verify", "--algebra", "sl2_1", "--suite", "all", "--depth", "2",
             "--format", "json", "--inject-fault", "flip_raising_prefactor")
@@ -468,6 +465,19 @@ def test_verify_all_with_workers_matches_serial(capsys, monkeypatch):
     assert serial == pooled
     suites = [rep["suite"] for rep in json.loads(pooled[1])["reports"]]
     assert suites == ["relations", "coproduct", "hopf-axioms"]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """A fresh `import qscreen.cli` loads neither the process pool nor
+    `multiprocessing`: only `verify --workers N>1` imports them."""
+    probe = "import sys, qscreen.cli; print('\\n'.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    modules = proc.stdout.split()
+    assert "qscreen.cli" in modules
+    assert [m for m in modules
+            if m.startswith(("multiprocessing", "concurrent.futures.process"))] == []
 
 
 def test_serre_scan_specializes_with_the_scan_faults(capsys):
