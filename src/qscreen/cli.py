@@ -157,8 +157,7 @@ def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         for result in pool.map(_relation_chunk, payloads):
             records.update((rec.identity, rec) for rec in result)
-    report = VerificationReport("relations", datum.name or "custom", depth,
-                                weight.label)
+    report = VerificationReport("relations", datum.label, depth, weight.label)
     report.records = [records[name] for name in names]
     return report
 
@@ -216,7 +215,7 @@ def cmd_act(args) -> int:
         # No z is left to specialize, so no vanishing locus is at stake.
         result = {s: c.reduce_exact() for s, c in result.items()}
     payload = {
-        "algebra": datum.name or "custom",
+        "algebra": datum.label,
         "word": word_token(word),
         "start": seq_token(start),
         "result": {seq_token(s): c.render() for s, c in sorted(
@@ -272,7 +271,7 @@ def cmd_braid(args) -> int:
     phase = braid_phase(datum, w1, s1, w2, s2,
                         faults=build_faults(args.inject_fault))
     payload = {
-        "algebra": datum.name or "custom",
+        "algebra": datum.label,
         "weight1": args.weight1, "seq1": seq_token(s1),
         "weight2": args.weight2, "seq2": seq_token(s2),
         "phase": phase.render(),

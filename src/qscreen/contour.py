@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable
 
-from .phase import PhaseScalar, Rational, q_power, z_power
+from .phase import PhaseScalar, Rational, q_power
 from .rootdata import RootDatum, Weight
 
 # A basis state: tuple of 0-based simple-root indices, outermost first.
@@ -120,9 +120,7 @@ class ModuleContext:
 
     def z(self, j: int, n: int = 1) -> PhaseScalar:
         """The n-th power of the weight phase of simple root j."""
-        if self.weight.is_generic:
-            return z_power(self.z_offset + j, n, self.arity)
-        return q_power(-n * self.weight.root_pairing(self.datum, j), self.arity)
+        return self.qz(0, j, n)
 
     def qz(self, a, j: int, n: int) -> PhaseScalar:
         """The monomial q^a z_j^n, built as one scalar: `q(a) * z(j, n)`

@@ -429,8 +429,8 @@ def verify_relations(datum: RootDatum, depth: int = 4,
                      identity_filter=None) -> VerificationReport:
     """Check every defining relation on every contour state up to depth-1."""
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth, faults=faults)
-    report = VerificationReport("relations", datum.name or "custom",
-                                depth, weight_label(weight))
+    report = VerificationReport("relations", datum.label, depth,
+                                weight_label(weight))
     states = _unit_states(datum.rank, depth, ctx.arity)
     for name, rel in defining_relations(datum, ctx.arity):
         if identity_filter is not None and not identity_filter(name):
@@ -452,8 +452,8 @@ def verify_coproduct(datum: RootDatum, depth: int = 3,
     """
     tctx = TensorContext(datum=datum, weight1=weight1, weight2=weight2,
                          depth=depth, faults=faults)
-    report = VerificationReport("coproduct", datum.name or "custom",
-                                depth, weight_label(weight1, weight2))
+    report = VerificationReport("coproduct", datum.label, depth,
+                                weight_label(weight1, weight2))
     pairs = [(tensor_seq_token((s1, s2)), tensor_state(tctx, s1, s2))
              for s1 in basis_states(datum.rank, depth - 1)
              for s2 in basis_states(datum.rank, depth - 1)]
@@ -503,8 +503,8 @@ def verify_hopf_axioms(datum: RootDatum, depth: int = 3,
     arity = datum.rank
     one = PhaseScalar.one(arity)
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth, faults=faults)
-    report = VerificationReport("hopf-axioms", datum.name or "custom",
-                                depth, weight_label(weight))
+    report = VerificationReport("hopf-axioms", datum.label, depth,
+                                weight_label(weight))
     states = _unit_states(datum.rank, depth, arity)
 
     for letter in _all_letters(datum):

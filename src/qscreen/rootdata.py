@@ -52,6 +52,11 @@ class RootDatum:
 
     # ---- derived structure ----
 
+    @property
+    def label(self) -> str:
+        """The name, or `custom` for an unnamed datum, as reports print it."""
+        return self.name or "custom"
+
     def parity(self, j: int) -> int:
         """0 for an even simple root, 1 for an odd one."""
         return 1 if j in self.odd else 0

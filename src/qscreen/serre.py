@@ -18,27 +18,29 @@ The kernel is computed by fraction-free Gauss-Jordan elimination (Bareiss):
 each step multiplies a row by the pivot, subtracts the cross term and divides
 exactly by the previous pivot.  Every entry stays a Laurent polynomial, and
 after the last step every pivot equals the same minor D, so each kernel
-vector comes out polynomial.  It is reported as v_k / v_lead, with the lead
-coordinate the literal 1.  No polynomial gcd is ever taken, and v_lead is
-never cancelled against the other coordinates by trial division: it is a
-minor of the matrix, and its zeros mark weights where the generic
-elimination breaks down (for sl3 at multidegree (2,1) it carries the factor
-1 - z1^2, which vanishes at weight 1,2).  Equality tests and specializations
-treat the un-cancelled factor correctly, and a specialization that lands on
-it raises DenominatorVanishesError rather than guessing.  A scan at a
-concrete weight has no z left to specialize, so there each coordinate is
-replaced by its exact Laurent quotient whenever v_lead divides it.
+vector comes out polynomial, and `nullspace` returns it so: one form, whose
+coordinates v_k all have the unit denominator.  The residual checks run on
+that vector, and only a vector that fails is checked again, as printed, so
+that the failure shows in the printed terms.
+
+The printed form is built in one place, `normal_form`: the lead coordinate
+is the literal 1 and every other one is v_k / v_lead.  No polynomial gcd is
+ever taken, and v_lead is never cancelled against the other coordinates by
+trial division: it is a minor of the matrix, and its zeros mark weights
+where the generic elimination breaks down (for sl3 at multidegree (2,1) it
+carries the factor 1 - z1^2, which vanishes at weight 1,2).  Equality tests
+and specializations treat the un-cancelled factor correctly, and a
+specialization that lands on it raises DenominatorVanishesError rather than
+guessing.  A scan at a concrete weight has no z left to specialize, so there
+each coordinate is replaced by its exact Laurent quotient whenever v_lead
+divides it.
 
 The elimination runs on monomial keys packed into ints (`phase.KeyPacking`):
 `nullspace` packs the matrix once, on entry, with rational q-exponents
 (odd roots, concrete weights such as -7/2,-5/3) scaled by the lcm of their
 denominators.  Multiplying monomials then adds ints, dividing subtracts
 them, and a leading term is a least int.  Only the minor D and the kernel
-entries are unpacked, before the quotients v_k / v_lead are built.  The
-residual checks run on the polynomial vector v = v_lead · (v / v_lead),
-whose coordinates are the numerators v_k themselves, and only a vector
-that fails is checked again, as printed, so that the failure shows in the
-printed terms.
+entries are unpacked.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .phase import (
     PhaseScalar,
     _one_poly,
     _pcross,
-    _pmul,
 )
 from .rootdata import RootDatum, Weight
 
@@ -99,18 +100,16 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
     becomes (R[r][c]·R[i][k] - R[i][c]·R[r][k]) / p, an exact division;
     entries stay polynomial and all pivots equal one minor D.  The kernel
     vector of free column f holds D at f and -R[row][f] at each pivot
-    column.  It is returned as v_k / v_lead, the lead coordinate set to the
-    literal one.  No gcd is taken and v_lead is never trial-divided out of
-    the quotients: it is a minor (D, or a cofactor in a pivot column), and
-    the weights where it vanishes are the ones specialization must report
-    as `denominator-vanishes` rather than evaluate.
+    column.  That polynomial vector is what comes back: every coordinate a
+    `PhaseScalar` with the unit denominator.  No gcd is taken and nothing
+    is divided out; `normal_form` builds the printed v_k / v_lead.
 
     The entries are packed on entry by one `KeyPacking` plan, sized for
     minors of order up to ncols, so that the elimination multiplies,
     subtracts and divides (`KeyPacking.divide`) sums keyed by ints.  Only
     D and the kernel entries are unpacked.
     """
-    one = PhaseScalar.one(arity).num
+    one = _one_poly(arity)
     if any(e.den != one for row in rows for e in row):
         raise ValueError("nullspace needs Laurent-polynomial entries")
     plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
@@ -150,11 +149,17 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
         vec[free] = minor
         for rp, pc in pivots:
             vec[pc] = {plan.unpack(k): -x for k, x in matrix[rp][free].items()}
-        lead = next(k for k, x in enumerate(vec) if x)
-        basis.append([PhaseScalar.one(arity) if k == lead
-                      else PhaseScalar(x, vec[lead], arity)
-                      for k, x in enumerate(vec)])
+        basis.append([PhaseScalar._of(x, one, arity) for x in vec])
     return basis
+
+
+def normal_form(vec: Sequence[PhaseScalar]) -> list[PhaseScalar]:
+    """A polynomial kernel vector as printed: the first nonzero coordinate
+    is the literal 1 and every other one is the quotient v_k / v_lead."""
+    lead = next(k for k, c in enumerate(vec) if not c.is_zero())
+    den = vec[lead].num
+    return [PhaseScalar.one(c.arity) if k == lead
+            else PhaseScalar(c.num, den, c.arity) for k, c in enumerate(vec)]
 
 
 @dataclass
@@ -242,13 +247,13 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
                 block[targets[t]][col[w]] = coeff
         rows.extend(block)
 
-    basis = nullspace(rows, len(words), ctx.arity)
-    polys = [_polynomial_vector(vec, ctx.arity) for vec in basis]
+    polys = nullspace(rows, len(words), ctx.arity)
+    basis = [normal_form(poly) for poly in polys]
     if not weight.is_generic:
         # No z is left to specialize, so no vanishing locus is at stake.
         basis = [[c.reduce_exact() for c in vec] for vec in basis]
     result = ScanResult(
-        algebra=datum.name or "custom",
+        algebra=datum.label,
         multidegree=multidegree,
         weight=weight.label,
         words=words,
@@ -263,24 +268,6 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
             checks = residual_checks(datum, words, vec, weight, faults)
         result.residuals.append(checks)
     return result
-
-
-def _polynomial_vector(vec: Sequence[PhaseScalar],
-                      arity: int) -> list[PhaseScalar]:
-    """v_lead times a kernel vector from `nullspace`: its polynomial
-    coordinates v_k.
-
-    Each v_k is read off as the numerator over the shared multi-term
-    denominator v_lead, never multiplied back by it; only the lead, the
-    literal one, becomes v_lead itself.  A vector with no multi-term
-    denominator is already polynomial and comes back as it is.
-    """
-    den = next((c.den for c in vec if len(c.den) > 1), None)
-    if den is None:
-        return list(vec)
-    one = _one_poly(arity)
-    return [PhaseScalar._of(c.num if len(c.den) > 1 else _pmul(c.num, den),
-                            one, arity) for c in vec]
 
 
 def residual_checks(datum: RootDatum, words: list[Seq],

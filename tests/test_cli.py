@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import importlib.util
 import json
 import os
 import pickle
@@ -312,6 +313,22 @@ def test_scan_script_reports_bad_algebra_like_the_cli():
         assert proc.stderr.startswith("error:") and words in proc.stderr
         assert "Traceback" not in proc.stderr
 
+
+
+def test_scan_script_exits_1_on_a_nonzero_residual(monkeypatch, capsys):
+    """Like `serre-scan`, the scan script exits 1 when a residual check of
+    a printed kernel does not vanish."""
+    path = README.parent / "scripts" / "scan_singular_vectors.py"
+    spec = importlib.util.spec_from_file_location("scan_singular_vectors", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argv = ["--algebra", "sl2_1", "--max-total", "2"]
+    assert script.main(argv) == 0
+    assert "NONZERO" not in capsys.readouterr().out
+    monkeypatch.setattr("qscreen.serre.residual_checks",
+                        lambda *args: {"E1": "1"})
+    assert script.main(argv) == 1
+    assert "residuals of vector 1: NONZERO E1=1" in capsys.readouterr().out
 
 def test_depth_override(capsys):
     code, _, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",

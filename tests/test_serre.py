@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscreen.phase import DenominatorVanishesError, PhaseScalar, q_power
+from qscreen import serre
 from qscreen.rootdata import CATALOG, Weight, resolve_algebra
 from qscreen.serre import (
-    _polynomial_vector,
     enumerate_words,
+    normal_form,
     nullspace,
     residual_checks,
     singular_scan,
@@ -186,17 +187,29 @@ def test_reduce_exact_keeps_a_true_quotient():
 @pytest.mark.parametrize("name,md", [("sl3", (2, 1)), ("sl2_1", (2, 2)),
                                      ("osp1_4.json", (3, 1)),
                                      ("osp1_4.json", (1, 2))])
-def test_polynomial_vector_is_the_kernel_vector_times_its_lead(name, md):
-    """The residual checks run on v_lead · (v / v_lead): polynomial
-    coordinates, the lead one v_lead, every coordinate v_lead times the
-    printed one, and the same verdict as the printed vector.  osp(1|4)
+def test_polynomial_vector_is_the_kernel_vector_times_its_lead(
+        name, md, monkeypatch):
+    """`nullspace` returns polynomial vectors (every denominator the unit),
+    and the scan prints each in `normal_form`: the lead the literal 1,
+    every coordinate v_k / v_lead.  The residual checks run on the
+    polynomial vector and give the printed vector's verdict.  osp(1|4)
     brings half-integer q-exponents."""
+    returned = []
+
+    def spy(*args):
+        out = nullspace(*args)
+        returned.extend(out)
+        return out
+
+    monkeypatch.setattr(serre, "nullspace", spy)
     datum = resolve_algebra(name if name in CATALOG else str(ALGEBRAS / name))
     result = singular_scan(datum, md)
-    assert result.basis
-    for vec in result.basis:
-        poly = _polynomial_vector(vec, vec[0].arity)
-        assert all(len(c.den) == 1 for c in poly)
+    assert result.basis and len(returned) == len(result.basis)
+    unit = PhaseScalar.one(datum.rank).den
+    for poly, vec in zip(returned, result.basis):
+        assert all(c.den == unit for c in poly)
+        assert [(c.num, c.den) for c in vec] == \
+            [(c.num, c.den) for c in normal_form(poly)]
         lead = next(k for k, c in enumerate(vec) if not c.is_zero())
         assert vec[lead] == 1
         assert all(p == c * poly[lead] for p, c in zip(poly, vec))
@@ -306,6 +319,7 @@ def test_nullspace_matches_sympy(data):
     rank = DomainMatrix.from_Matrix(matrix).to_field().rank()
     assert len(basis) == ncols - rank
     for vec in basis:
+        assert all(x.den == PhaseScalar.one(0).den for x in vec)
         col = sp.Matrix([scalar_to_sympy(x, [], q=T, scale=12) for x in vec])
         assert sp.simplify(matrix * col) == sp.zeros(nrows, 1)
 
