@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from typing import Callable
 
 from .contour import (
     DepthExceededError,
@@ -117,11 +118,13 @@ def check_output(path: str) -> None:
         os.remove(path)
 
 
-def emit(payload, args, text_form: str) -> None:
+def emit(payload, args, text_form: Callable[[], str]) -> None:
+    """Write the report: `payload` as JSON, or the text that `text_form`
+    renders, which only `--format text` calls for."""
     if args.format == "json":
         out = json.dumps(payload, indent=2)
     else:
-        out = text_form
+        out = text_form()
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -185,7 +188,8 @@ def cmd_verify(args) -> int:
     ok = all(rep.passed for rep in reports)
     payload = {"status": "pass" if ok else "fail",
                "reports": [rep.to_json() for rep in reports]}
-    emit(payload, args, "\n\n".join(rep.to_text() for rep in reports))
+    emit(payload, args,
+         lambda: "\n\n".join(rep.to_text() for rep in reports))
     return 0 if ok else 1
 
 
@@ -222,8 +226,8 @@ def cmd_act(args) -> int:
             result.items(), key=lambda kv: (len(kv[0]), kv[0]))
             if not c.is_zero()},
     }
-    text = f"{word_token(word)} · {seq_token(start)} = {render_vector(result)}"
-    emit(payload, args, text)
+    emit(payload, args, lambda: f"{word_token(word)} · {seq_token(start)} = "
+                                f"{render_vector(result)}")
     return 0
 
 
@@ -240,7 +244,6 @@ def cmd_serre_scan(args) -> int:
     faults = build_faults(args.inject_fault)
     result = singular_scan(datum, multidegree, weight=weight, faults=faults)
     payload = result.to_json()
-    text = result.to_text()
     specs = []
     if args.specialize:
         generic = result if weight.is_generic else singular_scan(
@@ -251,9 +254,10 @@ def cmd_serre_scan(args) -> int:
                 raise UsageError("--specialize takes concrete weights")
             spec = specialize_scan(generic, datum, w, faults)
             specs.append(spec)
-            text += f"\nspecialized at ({spec['weight']}): {spec['status']}"
         payload["specializations"] = specs
-    emit(payload, args, text)
+    emit(payload, args, lambda: result.to_text() + "".join(
+        f"\nspecialized at ({spec['weight']}): {spec['status']}"
+        for spec in specs))
     bad = not residuals_vanish(result.residuals) or any(
         spec["status"] == "residual-nonzero" for spec in specs)
     return 1 if bad else 0
@@ -276,7 +280,7 @@ def cmd_braid(args) -> int:
         "weight2": args.weight2, "seq2": seq_token(s2),
         "phase": phase.render(),
     }
-    emit(payload, args, f"phase = {phase.render()}")
+    emit(payload, args, lambda: f"phase = {phase.render()}")
     return 0
 
 
@@ -335,14 +339,7 @@ class Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = Parser(
-        prog="qscreen",
-        description="exact contour representation of deformed enveloping "
-                    "superalgebras: identity verification and singular-vector scans")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="run identity suites")
+def _verify_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
     add_depth_cap(p, depth_default=4)
     p.add_argument("--suite", choices=("relations", "coproduct", "hopf",
@@ -357,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "processes, at most one per relation (>= 1)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("act", help="apply a generator word to a state")
+
+def _act_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
     add_depth_cap(p, depth_default=8)
     p.add_argument("--word", required=True,
@@ -367,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", default="generic")
     p.set_defaults(func=cmd_act)
 
-    p = sub.add_parser("serre-scan", help="scan a multidegree for singular vectors")
+
+def _serre_scan_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
     add_depth_cap(p)
     p.add_argument("--multidegree", required=True,
@@ -379,19 +378,50 @@ def build_parser() -> argparse.ArgumentParser:
                         "weight (repeatable)")
     p.set_defaults(func=cmd_serre_scan)
 
-    p = sub.add_parser("braid", help="monodromy phase of two dressed insertions")
+
+def _braid_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
     p.add_argument("--weight1", required=True)
     p.add_argument("--weight2", required=True)
     p.add_argument("--seq1", default="")
     p.add_argument("--seq2", default="")
     p.set_defaults(func=cmd_braid)
+
+
+# name: (help line, the function that adds the subcommand's arguments)
+SUBCOMMANDS = {
+    "verify": ("run identity suites", _verify_args),
+    "act": ("apply a generator word to a state", _act_args),
+    "serre-scan": ("scan a multidegree for singular vectors", _serre_scan_args),
+    "braid": ("monodromy phase of two dressed insertions", _braid_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `qscreen` parser, with every subcommand registered.
+
+    Only `command`'s arguments are built when it names a subcommand;
+    otherwise, as with no argument, all four subcommands' are.  A parse
+    that enters a subcommand reads only that subcommand's arguments, and
+    the top-level help and errors list the subcommands by name and help
+    line alone, so a parser built for one subcommand parses, helps and
+    fails on its argv exactly as the full parser does, for less set-up.
+    """
+    parser = Parser(
+        prog="qscreen",
+        description="exact contour representation of deformed enveloping "
+                    "superalgebras: identity verification and singular-vector scans")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command not in SUBCOMMANDS or command == name:
+            add_args(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.output:
             check_output(args.output)

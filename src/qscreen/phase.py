@@ -113,7 +113,12 @@ class KeyPacking:
     G the least power of two above that range, and the field holds
     [-4G, 4G).  A key in the guard box, a sum of two and such a sum less
     a third (a Bareiss cross term less the divisor) all decode without
-    carry.
+    carry.  Every minor of `serre.nullspace` is a product of at most
+    `factors` input monomials per term, so its keys lie in the guard box.
+    A back-substitution numerator, D·U[k][f] less a sum of products
+    U[k][c_j]·G[j][f], is a sum of products of two minors however many
+    products it sums: summing adds coefficients of equal keys, never keys,
+    so each of its keys is a sum of two, as in a cross term.
     """
 
     __slots__ = ("arity", "scale", "_limits", "_widths", "_offset", "_mask")
@@ -291,19 +296,22 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
 
 
 def _pcross(p: dict[int, Rational], x: dict[int, Rational],
-            f: dict[int, Rational], y: dict[int, Rational]
+            pairs: Iterable[tuple[dict[int, Rational], dict[int, Rational]]]
             ) -> dict[int, Rational]:
-    """p·x - f·y on packed sums, the cross term of a Bareiss step."""
+    """p·x - the sum of f·y over the pairs (f, y), on packed sums: with one
+    pair the cross term of a Bareiss step, with several the numerator of a
+    back-substitution step."""
     out: dict[int, Rational] = {}
     get = out.get
     for k1, c1 in p.items():
         for k2, c2 in x.items():
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    for k1, c1 in f.items():
-        for k2, c2 in y.items():
-            k = k1 + k2
-            out[k] = get(k, 0) - c1 * c2
+    for f, y in pairs:
+        for k1, c1 in f.items():
+            for k2, c2 in y.items():
+                k = k1 + k2
+                out[k] = get(k, 0) - c1 * c2
     return {k: c for k, c in out.items() if c}
 
 

@@ -14,14 +14,20 @@ weight — a quantized Serre-type relation made visible inside the module.  At
 a concrete weight the kernel can jump: those are honest weight-specific
 singular vectors.
 
-The kernel is computed by fraction-free Gauss-Jordan elimination (Bareiss):
-each step multiplies a row by the pivot, subtracts the cross term and divides
-exactly by the previous pivot.  Every entry stays a Laurent polynomial, and
-after the last step every pivot equals the same minor D, so each kernel
-vector comes out polynomial, and `nullspace` returns it so: one form, whose
-coordinates v_k all have the unit denominator.  The residual checks run on
-that vector, and only a vector that fails is checked again, as printed, so
-that the failure shows in the printed terms.
+The kernel is computed by fraction-free elimination (Bareiss): forward
+elimination, where each step multiplies a row below the pivot by the pivot,
+subtracts the cross term and divides exactly by the previous pivot, then
+fraction-free back-substitution, one exact division per pivot row and free
+column.  Every entry stays a Laurent polynomial, so each kernel vector
+comes out polynomial, and `nullspace` returns it so: one form, whose
+coordinates v_k all have the unit denominator.  The pivots and the minors
+are those of fraction-free Gauss-Jordan elimination: the rows from each
+pivot down hold the same values in both, so the same pivot rows are chosen,
+and each back-substitution step solves for the minor that Gauss-Jordan
+would leave in its pivot row.  Only the updates of the rows above each
+pivot are saved.  The residual checks run on that vector, at the scan's
+weight and at each specialization, and only a vector that fails is checked
+again, as printed, so that the failure shows in the printed terms.
 
 The printed form is built in one place, `normal_form`: the lead coordinate
 is the literal 1 and every other one is v_k / v_lead.  No polynomial gcd is
@@ -94,15 +100,31 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
               arity: int) -> list[list[PhaseScalar]]:
     """Exact kernel basis of the matrix, one vector per free column.
 
-    Fraction-free Gauss-Jordan (Bareiss) over Laurent polynomials; every
+    Fraction-free elimination (Bareiss) over Laurent polynomials; every
     entry must be one, as `apply_raising_hat(..., clear_denominator=True)`
-    makes them.  For pivot (r, c) with previous pivot p, every other row i
-    becomes (R[r][c]·R[i][k] - R[i][c]·R[r][k]) / p, an exact division;
-    entries stay polynomial and all pivots equal one minor D.  The kernel
-    vector of free column f holds D at f and -R[row][f] at each pivot
-    column.  That polynomial vector is what comes back: every coordinate a
-    `PhaseScalar` with the unit denominator.  No gcd is taken and nothing
-    is divided out; `normal_form` builds the printed v_k / v_lead.
+    makes them.  Forward: for pivot (r, c) with previous pivot p, each row
+    i below r becomes (R[r][c]·R[i][k] - R[i][c]·R[r][k]) / p, an exact
+    division.  Row k of the echelon form U then holds minors of order
+    k + 1, its pivot d_k among them, and the last pivot is the minor D.
+    Back-substitution, for each free column f and each pivot row k from
+    the last up:
+
+        G[k][f] = (D·U[k][f] - sum over j > k of U[k][c_j]·G[j][f]) / d_k,
+
+    again exact, with G[last][f] = U[last][f].  The kernel vector of f
+    holds D at f and -G[k][f] at each pivot column c_k.  That polynomial
+    vector is what comes back: every coordinate a `PhaseScalar` with the
+    unit denominator.  No gcd is taken and nothing is divided out;
+    `normal_form` builds the printed v_k / v_lead.
+
+    These are the vectors that fraction-free Gauss-Jordan returns, which
+    updates the rows above each pivot too.  A row's update reads only that
+    row and the pivot row, so from the pivot row down both hold the same
+    values, and they choose the same candidates and the same sparsest
+    pivot rows.  Gauss-Jordan ends with D on the diagonal, so its entry at
+    (k, f) solves row k of U·x = 0 with x_f = D and x = -G below; that
+    equation is the back-substitution step, and d_k != 0 makes its
+    solution unique.  The rows above each pivot are never touched.
 
     The entries are packed on entry by one `KeyPacking` plan, sized for
     minors of order up to ncols, so that the elimination multiplies,
@@ -113,9 +135,10 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
     if any(e.den != one for row in rows for e in row):
         raise ValueError("nullspace needs Laurent-polynomial entries")
     plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
+    divide = plan.divide
     matrix = [[plan.pack_poly(e.num) for e in row] for row in rows]
     matrix = [row for row in matrix if any(row)]
-    pivots: list[tuple[int, int]] = []  # (row position, column)
+    pivots: list[int] = []  # pivot column of each echelon row
     prev = {0: 1}  # the packed unit
     r = 0
     for c in range(ncols):
@@ -127,28 +150,35 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
         matrix[r], matrix[best] = matrix[best], matrix[r]
         pivot_row = matrix[r]
         pivot = pivot_row[c]
-        for i, row in enumerate(matrix):
-            if i != r:
-                f = row[c]
-                matrix[i] = [
-                    plan.divide(_pcross(pivot, x, f, y), prev)
-                    if x or (f and y) else {}
-                    for x, y in zip(row, pivot_row)]
+        tail = pivot_row[c + 1:]
+        for i in range(r + 1, len(matrix)):
+            row = matrix[i]
+            f = row[c]
+            # columns up to c are zero below the pivot, column c becomes so
+            matrix[i] = row[:c] + [{}] + [
+                divide(_pcross(pivot, x, ((f, y),)), prev)
+                if x or (f and y) else {}
+                for x, y in zip(row[c + 1:], tail)]
         prev = pivot
-        pivots.append((r, c))
+        pivots.append(c)
         r += 1
 
-    # every pivot now equals prev, the minor D
-    minor = plan.unpack_poly(prev)
-    pivot_cols = {c for _, c in pivots}
+    minor = plan.unpack_poly(prev)  # D
+    rank = len(pivots)
     basis: list[list[PhaseScalar]] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
+    for free in (f for f in range(ncols) if f not in pivots):
+        g: list[dict] = [{}] * rank  # G[k][free], filled from the last row up
+        for k in reversed(range(rank)):
+            row = matrix[k]
+            if k == rank - 1:
+                g[k] = row[free]
+                continue
+            terms = [(row[pivots[j]], g[j]) for j in range(k + 1, rank)]
+            g[k] = divide(_pcross(prev, row[free], terms), row[pivots[k]])
         vec = [{} for _ in range(ncols)]
         vec[free] = minor
-        for rp, pc in pivots:
-            vec[pc] = {plan.unpack(k): -x for k, x in matrix[rp][free].items()}
+        for k, pc in enumerate(pivots):
+            vec[pc] = {plan.unpack(key): -x for key, x in g[k].items()}
         basis.append([PhaseScalar._of(x, one, arity) for x in vec])
     return basis
 
@@ -169,6 +199,8 @@ class ScanResult:
     weight: str
     words: list[Seq]
     basis: list[list[PhaseScalar]]
+    # `nullspace`'s polynomial vectors, one per basis vector; not printed
+    polys: list[list[PhaseScalar]]
     residuals: list[dict[str, str]] = field(default_factory=list)
 
     @property
@@ -252,22 +284,36 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
     if not weight.is_generic:
         # No z is left to specialize, so no vanishing locus is at stake.
         basis = [[c.reduce_exact() for c in vec] for vec in basis]
-    result = ScanResult(
+    return ScanResult(
         algebra=datum.label,
         multidegree=multidegree,
         weight=weight.label,
         words=words,
         basis=basis,
+        polys=polys,
+        residuals=[_kernel_residuals(datum, words, poly, vec, weight, faults)
+                   for poly, vec in zip(polys, basis)],
     )
-    for poly, vec in zip(polys, basis):
-        # E_j is linear and v_lead != 0, so the polynomial vector passes
-        # exactly when the printed one does; a failure is reported on the
-        # printed vector.
+
+
+def _kernel_residuals(datum: RootDatum, words: list[Seq],
+                      poly: Sequence[PhaseScalar], vec: Sequence[PhaseScalar],
+                      weight: Weight, faults: FaultInjection
+                      ) -> dict[str, str]:
+    """The residual checks of one kernel vector, given as its polynomial
+    form `poly` and its printed form `vec`.
+
+    They run on `poly`, whose coordinates carry no denominator, and again
+    on `vec` only on a failure, so that the failure shows in the printed
+    terms.  poly = v_lead·vec and E_j is linear, so with v_lead != 0 the
+    two pass or fail together.  A `poly` that is zero (v_lead vanished
+    under a specialization) proves nothing, and `vec` is checked instead.
+    """
+    if any(not c.is_zero() for c in poly):
         checks = residual_checks(datum, words, poly, weight, faults)
-        if not residuals_vanish([checks]):
-            checks = residual_checks(datum, words, vec, weight, faults)
-        result.residuals.append(checks)
-    return result
+        if residuals_vanish([checks]):
+            return checks
+    return residual_checks(datum, words, vec, weight, faults)
 
 
 def residual_checks(datum: RootDatum, words: list[Seq],
@@ -307,9 +353,11 @@ def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
 
     Returns {"weight", "status", ...}: status "ok" carries the specialized
     basis and recomputed residuals, status "denominator-vanishes" reports
-    the weight as lying on a vanishing locus.  The residuals are checked
-    with the scan's own `faults`, so a faulted kernel meets the operator
-    it was computed from.
+    the weight as lying on a vanishing locus.  The printed basis is
+    specialized first, so that a vanishing v_lead is reported as such;
+    the residuals are then checked on the specialized polynomial vectors
+    (`_kernel_residuals`), with the scan's own `faults`, so a faulted
+    kernel meets the operator it was computed from.
     """
     label = weight.label
     try:
@@ -317,8 +365,10 @@ def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
     except DenominatorVanishesError as exc:
         return {"weight": label, "status": "denominator-vanishes",
                 "detail": str(exc)}
-    residuals = [residual_checks(datum, result.words, vec, weight, faults)
-                 for vec in basis]
+    polys = [specialize_vector(poly, datum, weight) for poly in result.polys]
+    residuals = [
+        _kernel_residuals(datum, result.words, poly, vec, weight, faults)
+        for poly, vec in zip(polys, basis)]
     return {"weight": label,
             "status": "ok" if residuals_vanish(residuals) else "residual-nonzero",
             "basis": [vector_tokens(result.words, vec) for vec in basis],

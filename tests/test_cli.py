@@ -551,6 +551,49 @@ def test_option_surface_is_pinned():
     }
 
 
+PARSE_ONLY = [
+    ["--help"], [], ["bogus"], ["bogus", "--help"],
+    ["verify", "--help"], ["act", "--help"], ["serre-scan", "--help"],
+    ["braid", "--help"],
+    ["act"], ["serre-scan", "--algebra", "sl3"], ["braid", "--weight1", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY,
+                         ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_like_the_full_parser(capsys, argv):
+    """`main` builds only the named subcommand's arguments; every help and
+    every parse error still reads as the full parser's."""
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as via_main:
+        main(argv)
+    got = capsys.readouterr()
+    assert (via_main.value.code, got.out, got.err) == \
+        (full.value.code, expected.out, expected.err)
+    assert expected.out or expected.err
+
+
+def test_main_builds_no_other_subcommand(capsys, monkeypatch):
+    from qscreen import cli
+
+    build, built = cli.build_parser, []
+
+    def spy(command=None):
+        built.append(build(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["serre-scan", "--algebra", "sl2", "--multidegree", "2"]) == 0
+    capsys.readouterr()
+    (sub,) = [a for a in built[0]._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    sizes = {name: len(p._actions) for name, p in sub.choices.items()}
+    assert sizes.pop("serre-scan") > 1
+    assert sizes == {"verify": 1, "act": 1, "braid": 1}  # --help alone
+
+
 def readme_examples() -> list[list[str]]:
     """The argv of every `qscreen ...` line in the README's sh blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)

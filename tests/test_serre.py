@@ -15,8 +15,10 @@ from sympy.polys.matrices import DomainMatrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qscreen.phase import DenominatorVanishesError, PhaseScalar, q_power
+from qscreen.phase import (DenominatorVanishesError, KeyPacking, PhaseScalar,
+                           _one_poly, _pcross, q_power)
 from qscreen import serre
+from qscreen.contour import NO_FAULTS
 from qscreen.rootdata import CATALOG, Weight, resolve_algebra
 from qscreen.serre import (
     enumerate_words,
@@ -266,6 +268,35 @@ def test_specialize_scan_ok_branch():
     assert report["residual_checks"] == [{"E1": "0", "E2": "0"}]
 
 
+def test_specializations_check_residuals_on_the_polynomial_vector(
+        monkeypatch):
+    """An `ok` specialization checks the specialized polynomial vector only;
+    the printed one is checked again only on a failure, or when the
+    polynomial vector specializes to zero and so proves nothing."""
+    datum = CATALOG["sl3"]
+    result = singular_scan(datum, (2, 1))
+    assert "polys" not in result.to_json()
+    checked = []
+
+    def spy(datum, words, vec, *args):
+        checked.append(vec)
+        return residual_checks(datum, words, vec, *args)
+
+    monkeypatch.setattr(serre, "residual_checks", spy)
+    weight = Weight.concrete([1, 7])
+    assert specialize_scan(result, datum, weight)["status"] == "ok"
+    (poly,) = result.polys
+    assert checked == [specialize_vector(poly, datum, weight)]
+    assert all(c.den == PhaseScalar.one(2).den for c in checked[0])
+
+    checked.clear()
+    zero = [PhaseScalar.zero(2)] * len(poly)
+    assert serre._kernel_residuals(datum, result.words, zero, result.basis[0],
+                                   Weight.generic(), NO_FAULTS) == \
+        {"E1": "0", "E2": "0"}
+    assert checked == [result.basis[0]]
+
+
 def test_scan_json_shape():
     obj = singular_scan(CATALOG["sl2_1"], (0, 2)).to_json()
     assert set(obj) == {"algebra", "multidegree", "weight", "dimension",
@@ -440,3 +471,94 @@ def test_nullspace_rejects_quotient_entries():
     q = q_power(1, 0)
     with pytest.raises(ValueError):
         nullspace([[1 / (1 - q), PhaseScalar.one(0)]], 2, 0)
+
+
+# ---- forward elimination against the Gauss-Jordan reference ----
+
+def gauss_jordan_nullspace(rows, ncols, arity):
+    """The reference: fraction-free Gauss-Jordan, which updates every other
+    row at each pivot step, so that every pivot ends equal to the minor D
+    and each free column's kernel vector is read off the pivot rows."""
+    one = _one_poly(arity)
+    plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
+    matrix = [[plan.pack_poly(e.num) for e in row] for row in rows]
+    matrix = [row for row in matrix if any(row)]
+    pivots = []  # (row position, column)
+    prev = {0: 1}
+    r = 0
+    for c in range(ncols):
+        cand = [i for i in range(r, len(matrix)) if matrix[i][c]]
+        if not cand:
+            continue
+        best = min(cand, key=lambda i: sum(len(e) for e in matrix[i]))
+        matrix[r], matrix[best] = matrix[best], matrix[r]
+        pivot_row = matrix[r]
+        pivot = pivot_row[c]
+        for i, row in enumerate(matrix):
+            if i != r:
+                f = row[c]
+                matrix[i] = [
+                    plan.divide(_pcross(pivot, x, ((f, y),)), prev)
+                    if x or (f and y) else {}
+                    for x, y in zip(row, pivot_row)]
+        prev = pivot
+        pivots.append((r, c))
+        r += 1
+    minor = plan.unpack_poly(prev)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [{} for _ in range(ncols)]
+        vec[free] = minor
+        for rp, pc in pivots:
+            vec[pc] = {plan.unpack(k): -x for k, x in matrix[rp][free].items()}
+        basis.append([PhaseScalar._of(x, one, arity) for x in vec])
+    return basis
+
+
+# q-exponents: half-integers, and the extremes of a wide spread
+SPREAD_Q = st.one_of(st.sampled_from([-40, 40, Fraction(-79, 2), Fraction(79, 2)]),
+                     st.builds(Fraction, st.integers(-12, 12), st.just(2)))
+SPREAD_TERM = st.tuples(st.sampled_from([-2, -1, 1, 3]), SPREAD_Q,
+                        st.integers(-4, 4))
+# half the entries are zero, so zero entries sit under pivots
+SPREAD_ENTRY = st.one_of(st.just([]),
+                         st.lists(SPREAD_TERM, min_size=1, max_size=2))
+
+
+def spread_entry(terms):
+    return sum((PhaseScalar.monomial(c, a, (m,), 1) for c, a, m in terms),
+               PhaseScalar.zero(1))
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Up to 5x6 matrices in q and z1, with some rows replaced by zero rows
+    or by monomial combinations of two other rows, so that the rank falls
+    below the row count."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(2, 6))
+    rows = [[spread_entry(draw(SPREAD_ENTRY)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "dependent"]))
+        if kind == "zero":
+            rows[i] = [PhaseScalar.zero(1)] * ncols
+        elif kind == "dependent" and nrows > 1:
+            a, b = (draw(st.integers(0, nrows - 1)) for _ in range(2))
+            u, w = (spread_entry([draw(SPREAD_TERM)]) for _ in range(2))
+            rows[i] = [u * x + w * y for x, y in zip(rows[a], rows[b])]
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(degenerate_matrices())
+def test_nullspace_matches_gauss_jordan(data):
+    """Forward elimination with back-substitution returns the polynomial
+    vectors that Gauss-Jordan does, dict-equal in `num` and `den`."""
+    rows, ncols = data
+    got = nullspace(rows, ncols, 1)
+    want = gauss_jordan_nullspace(rows, ncols, 1)
+    assert [[(c.num, c.den) for c in vec] for vec in got] == \
+        [[(c.num, c.den) for c in vec] for vec in want]
