@@ -46,6 +46,7 @@ from .phase import DenominatorVanishesError, rational
 
 MAX_DEPTH = 12
 FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
+FORMATS = ("text", "json")
 
 
 class UsageError(Exception):
@@ -241,19 +242,17 @@ def cmd_serre_scan(args) -> int:
             f"total degree {sum(multidegree)} exceeds {MAX_DEPTH}; "
             f"pass --force-depth if you mean it")
     weight = parse_weight(args.weight, datum.rank)
+    points = [parse_weight(w, datum.rank) for w in args.specialize or ()]
+    if any(w.is_generic for w in points):
+        raise UsageError("--specialize takes concrete weights")
     faults = build_faults(args.inject_fault)
     result = singular_scan(datum, multidegree, weight=weight, faults=faults)
     payload = result.to_json()
     specs = []
-    if args.specialize:
+    if points:
         generic = result if weight.is_generic else singular_scan(
             datum, multidegree, faults=faults)
-        for wtext in args.specialize:
-            w = parse_weight(wtext, datum.rank)
-            if w.is_generic:
-                raise UsageError("--specialize takes concrete weights")
-            spec = specialize_scan(generic, datum, w, faults)
-            specs.append(spec)
+        specs = [specialize_scan(generic, w) for w in points]
         payload["specializations"] = specs
     emit(payload, args, lambda: result.to_text() + "".join(
         f"\nspecialized at ({spec['weight']}): {spec['status']}"
@@ -300,7 +299,7 @@ def add_common(parser: argparse.ArgumentParser):
                         help="catalog name (sl2, sl3, sl2_1, osp1_2) or a .json path")
     parser.add_argument("--config", default=None,
                         help="path to an algebra config JSON (overrides --algebra)")
-    parser.add_argument("--format", choices=("text", "json"),
+    parser.add_argument("--format", choices=FORMATS,
                         default=os.environ.get("QSCREEN_FORMAT", "text"),
                         help="output format (default from QSCREEN_FORMAT)")
     parser.add_argument("--output", default=None,
@@ -423,6 +422,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        if args.format not in FORMATS:  # argparse leaves defaults unchecked
+            raise UsageError(f"QSCREEN_FORMAT must be one of text|json, "
+                             f"not {args.format!r}")
         if args.output:
             check_output(args.output)
         return args.func(args)

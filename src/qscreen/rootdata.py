@@ -197,10 +197,10 @@ def datum_to_config(datum: RootDatum) -> dict:
 
 
 def load_datum(path: str) -> RootDatum:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return datum_from_config(obj, name=path)
 

@@ -27,7 +27,9 @@ and each back-substitution step solves for the minor that Gauss-Jordan
 would leave in its pivot row.  Only the updates of the rows above each
 pivot are saved.  The residual checks run on that vector, at the scan's
 weight and at each specialization, and only a vector that fails is checked
-again, as printed, so that the failure shows in the printed terms.
+again, as printed, so that the failure shows in the printed terms.  They
+run in the scan's module context, `ScanResult.ctx` (datum, weight and
+faults); a specialization changes only its weight.
 
 The printed form is built in one place, `normal_form`: the lead coordinate
 is the literal 1 and every other one is v_k / v_lead.  No polynomial gcd is
@@ -51,7 +53,7 @@ entries are unpacked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .contour import (
@@ -194,9 +196,11 @@ def normal_form(vec: Sequence[PhaseScalar]) -> list[PhaseScalar]:
 
 @dataclass
 class ScanResult:
-    algebra: str
+    """A scan and the module context `ctx` it ran in (datum, weight and
+    faults), which its residual checks and specializations read."""
+
+    ctx: ModuleContext
     multidegree: tuple[int, ...]
-    weight: str
     words: list[Seq]
     basis: list[list[PhaseScalar]]
     # `nullspace`'s polynomial vectors, one per basis vector; not printed
@@ -212,17 +216,17 @@ class ScanResult:
 
     def to_json(self) -> dict:
         return {
-            "algebra": self.algebra,
+            "algebra": self.ctx.datum.label,
             "multidegree": list(self.multidegree),
-            "weight": self.weight,
+            "weight": self.ctx.weight.label,
             "dimension": self.dimension,
             "basis": self.basis_as_tokens(),
             "residual_checks": self.residuals,
         }
 
     def to_text(self) -> str:
-        lines = [f"algebra: {self.algebra}  multidegree: {list(self.multidegree)}  "
-                 f"weight: {self.weight}",
+        lines = [f"algebra: {self.ctx.datum.label}  multidegree: "
+                 f"{list(self.multidegree)}  weight: {self.ctx.weight.label}",
                  f"kernel dimension: {self.dimension}"]
         for k, entry in enumerate(self.basis_as_tokens()):
             lines.append(f"  vector {k + 1}:")
@@ -248,11 +252,6 @@ def residuals_vanish(residuals: Iterable[dict[str, str]]) -> bool:
     return all(v == "0" for checks in residuals for v in checks.values())
 
 
-def _scan_context(datum: RootDatum, multidegree, weight, faults) -> ModuleContext:
-    return ModuleContext(datum=datum, weight=weight,
-                         depth=max(sum(multidegree), 1) + 1, faults=faults)
-
-
 def singular_scan(datum: RootDatum, multidegree: Sequence[int],
                   weight: Weight = Weight(None),
                   faults: FaultInjection = NO_FAULTS) -> ScanResult:
@@ -260,7 +259,8 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
     multidegree = tuple(int(d) for d in multidegree)
     if len(multidegree) != datum.rank:
         raise ValueError(f"multidegree needs {datum.rank} entries")
-    ctx = _scan_context(datum, multidegree, weight, faults)
+    ctx = ModuleContext(datum=datum, weight=weight,
+                        depth=max(sum(multidegree), 1) + 1, faults=faults)
     words = enumerate_words(multidegree)
     col = {w: i for i, w in enumerate(words)}
     one = PhaseScalar.one(ctx.arity)
@@ -285,20 +285,18 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
         # No z is left to specialize, so no vanishing locus is at stake.
         basis = [[c.reduce_exact() for c in vec] for vec in basis]
     return ScanResult(
-        algebra=datum.label,
+        ctx=ctx,
         multidegree=multidegree,
-        weight=weight.label,
         words=words,
         basis=basis,
         polys=polys,
-        residuals=[_kernel_residuals(datum, words, poly, vec, weight, faults)
+        residuals=[_kernel_residuals(ctx, words, poly, vec)
                    for poly, vec in zip(polys, basis)],
     )
 
 
-def _kernel_residuals(datum: RootDatum, words: list[Seq],
-                      poly: Sequence[PhaseScalar], vec: Sequence[PhaseScalar],
-                      weight: Weight, faults: FaultInjection
+def _kernel_residuals(ctx: ModuleContext, words: list[Seq],
+                      poly: Sequence[PhaseScalar], vec: Sequence[PhaseScalar]
                       ) -> dict[str, str]:
     """The residual checks of one kernel vector, given as its polynomial
     form `poly` and its printed form `vec`.
@@ -310,28 +308,24 @@ def _kernel_residuals(datum: RootDatum, words: list[Seq],
     under a specialization) proves nothing, and `vec` is checked instead.
     """
     if any(not c.is_zero() for c in poly):
-        checks = residual_checks(datum, words, poly, weight, faults)
+        checks = residual_checks(ctx, words, poly)
         if residuals_vanish([checks]):
             return checks
-    return residual_checks(datum, words, vec, weight, faults)
+    return residual_checks(ctx, words, vec)
 
 
-def residual_checks(datum: RootDatum, words: list[Seq],
-                    vec: Sequence[PhaseScalar], weight: Weight = Weight(None),
-                    faults: FaultInjection = NO_FAULTS) -> dict[str, str]:
-    """Recompute every raising image of a candidate with the full operator.
+def residual_checks(ctx: ModuleContext, words: list[Seq],
+                    vec: Sequence[PhaseScalar]) -> dict[str, str]:
+    """Recompute every raising image of a candidate with the full operator,
+    in the module context `ctx` (datum, weight and faults).
 
     This is the independent confirmation pass: it goes through the complete
     raising action (bracket denominators, Cartan factor and all) rather than
     the cleared matrix used by the solver.
     """
-    md = [0] * datum.rank
-    for j in (words[0] if words else ()):
-        md[j] += 1
-    ctx = _scan_context(datum, md, weight, faults)
     v = {w: c for w, c in zip(words, vec) if not c.is_zero()}
     return {f"E{j+1}": render_vector(apply_raising(ctx, j, v))
-            for j in range(datum.rank)}
+            for j in range(ctx.datum.rank)}
 
 
 def specialize_vector(vec: Sequence[PhaseScalar],
@@ -347,8 +341,7 @@ def specialize_vector(vec: Sequence[PhaseScalar],
     return [c.substitute_z(exps) for c in vec]
 
 
-def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
-                    faults: FaultInjection = NO_FAULTS) -> dict:
+def specialize_scan(result: ScanResult, weight: Weight) -> dict:
     """Specialize a generic scan at one concrete weight.
 
     Returns {"weight", "status", ...}: status "ok" carries the specialized
@@ -356,20 +349,20 @@ def specialize_scan(result: ScanResult, datum: RootDatum, weight: Weight,
     the weight as lying on a vanishing locus.  The printed basis is
     specialized first, so that a vanishing v_lead is reported as such;
     the residuals are then checked on the specialized polynomial vectors
-    (`_kernel_residuals`), with the scan's own `faults`, so a faulted
+    (`_kernel_residuals`) in the scan's context at `weight`, so a faulted
     kernel meets the operator it was computed from.
     """
-    label = weight.label
+    datum = result.ctx.datum
     try:
         basis = [specialize_vector(vec, datum, weight) for vec in result.basis]
     except DenominatorVanishesError as exc:
-        return {"weight": label, "status": "denominator-vanishes",
+        return {"weight": weight.label, "status": "denominator-vanishes",
                 "detail": str(exc)}
+    ctx = replace(result.ctx, weight=weight)
     polys = [specialize_vector(poly, datum, weight) for poly in result.polys]
-    residuals = [
-        _kernel_residuals(datum, result.words, poly, vec, weight, faults)
-        for poly, vec in zip(polys, basis)]
-    return {"weight": label,
+    residuals = [_kernel_residuals(ctx, result.words, poly, vec)
+                 for poly, vec in zip(polys, basis)]
+    return {"weight": weight.label,
             "status": "ok" if residuals_vanish(residuals) else "residual-nonzero",
             "basis": [vector_tokens(result.words, vec) for vec in basis],
             "residual_checks": residuals}

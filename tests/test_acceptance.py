@@ -165,7 +165,7 @@ def test_criterion_6_concrete_weights_specialize_exactly():
                     if lhs != vc.get(seq, zero):
                         mismatches.append((name, coords, text, seq))
             if name in scans:
-                spec = specialize_scan(scans[name], datum, weight)
+                spec = specialize_scan(scans[name], weight)
                 if spec["status"] == "denominator-vanishes":
                     vanishing_reports.append((name, spec["weight"]))
                 else:
@@ -178,7 +178,7 @@ def test_criterion_6_concrete_weights_specialize_exactly():
         detected = False
     except DenominatorVanishesError:
         detected = True
-    spec = specialize_scan(scans["sl3"], CATALOG["sl3"], Weight.concrete([1, 2]))
+    spec = specialize_scan(scans["sl3"], Weight.concrete([1, 2]))
     detected = detected and spec["status"] == "denominator-vanishes"
     vanishing_reports.append(("sl3", spec["weight"]))
 

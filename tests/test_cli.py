@@ -116,6 +116,28 @@ def test_env_var_sets_format(capsys, monkeypatch):
     assert json.loads(out)["result"] == {"U()": "z1^-1"}
 
 
+@pytest.mark.parametrize("value", ["xml", "JSON", ""])
+def test_bad_env_format_fails_before_any_work(capsys, monkeypatch, value):
+    """argparse does not check a default against `choices`, so `main`
+    rejects a QSCREEN_FORMAT other than text or json itself."""
+    from qscreen import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before QSCREEN_FORMAT was checked")
+
+    monkeypatch.setenv("QSCREEN_FORMAT", value)
+    # an explicit --format wins over the environment
+    code, out, _ = run(capsys, "act", "--algebra", "sl2", "--word", "K1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"] == {"U()": "z1^-1"}
+    monkeypatch.setattr(cli, "apply_word", never)
+    code, out, err = run(capsys, "act", "--algebra", "sl2", "--word", "K1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: QSCREEN_FORMAT must be one of text|json, "
+                   f"not {value!r}\n")
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",
@@ -155,6 +177,27 @@ def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot write --output")
+
+
+@pytest.mark.parametrize("specialize", [
+    ["--specialize", "1"], ["--specialize", "1,2,3"],
+    ["--specialize", "generic"], ["--specialize", "1,7", "--specialize", ""],
+    ["--specialize", "1,banana"],
+])
+def test_bad_specialize_fails_before_the_scan(capsys, monkeypatch,
+                                              specialize):
+    from qscreen import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("scanned before --specialize was checked")
+
+    monkeypatch.setattr(cli, "singular_scan", never)
+    for weight in ("generic", "1,7"):
+        code, out, err = run(capsys, "serre-scan", "--algebra", "sl3",
+                             "--multidegree", "2,1", "--weight", weight,
+                             *specialize)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_failing_command_leaves_output_untouched(capsys, tmp_path):
@@ -298,12 +341,16 @@ def test_other_missing_values_get_no_weight_hint(capsys):
         "error: argument --depth: expected one argument\n")
 
 
-def test_scan_script_reports_bad_algebra_like_the_cli():
-    """`scripts/scan_singular_vectors.py` turns a missing config file and
-    an unknown algebra name into `error:` and exit 2, no traceback."""
+def test_scan_script_reports_bad_algebra_like_the_cli(tmp_path):
+    """`scripts/scan_singular_vectors.py` turns a missing config file, a
+    config file that is not UTF-8 and an unknown algebra name into
+    `error:` and exit 2, no traceback."""
     root = README.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
     for algebra, words in (("nope.json", "No such file"),
+                           (str(latin), "invalid JSON"),
                            ("e8", "unknown algebra 'e8'")):
         proc = subprocess.run(
             [sys.executable, str(root / "scripts" / "scan_singular_vectors.py"),
@@ -366,6 +413,14 @@ def test_malformed_config_contents(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert "symmetric" in err
+
+    # a file that is not UTF-8, given by --config or as an --algebra path
+    cfg.write_bytes(b"\xff\xfe" + json.dumps({"gram": [[2]]}).encode())
+    for flag in ("--config", "--algebra"):
+        code, out, err = run(capsys, "verify", flag, str(cfg))
+        assert (code, out) == (2, ""), flag
+        assert err.startswith("error: invalid JSON in ") and "utf-8" in err
+        assert "Traceback" not in err
 
 
 def test_config_with_malformed_values_exits_2(capsys, tmp_path):
@@ -514,7 +569,7 @@ def test_serre_scan_exits_one_on_nonzero_specialized_residual(capsys,
                                                              monkeypatch):
     from qscreen import cli
 
-    def nonzero(result, datum, weight, faults):
+    def nonzero(result, weight):
         return {"weight": weight.label, "status": "residual-nonzero",
                 "basis": [], "residual_checks": [{"E1": "1", "E2": "0"}]}
 

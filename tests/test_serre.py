@@ -6,6 +6,7 @@ with sympy's own linear algebra, so none of the package's exact-arithmetic
 code is on that path.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from qscreen.phase import (DenominatorVanishesError, KeyPacking, PhaseScalar,
                            _one_poly, _pcross, q_power)
 from qscreen import serre
-from qscreen.contour import NO_FAULTS
+from qscreen.contour import FaultInjection
 from qscreen.rootdata import CATALOG, Weight, resolve_algebra
 from qscreen.serre import (
     enumerate_words,
@@ -215,8 +216,8 @@ def test_polynomial_vector_is_the_kernel_vector_times_its_lead(
         lead = next(k for k, c in enumerate(vec) if not c.is_zero())
         assert vec[lead] == 1
         assert all(p == c * poly[lead] for p, c in zip(poly, vec))
-        assert residual_checks(datum, result.words, poly) == \
-            residual_checks(datum, result.words, vec)
+        assert residual_checks(result.ctx, result.words, poly) == \
+            residual_checks(result.ctx, result.words, vec)
     if name != "sl2_1":
         # v_lead is a multi-term minor here (for sl3 it carries 1 - z1^2)
         assert len(poly[lead].num) > 1
@@ -243,7 +244,8 @@ def test_specialize_vector_at_safe_weight():
     q = q_power(1, 2)
     assert spec[0] == PhaseScalar.one(2)
     assert spec[1] == -(q + q ** -1)
-    checks = residual_checks(datum, result.words, spec, weight)
+    checks = residual_checks(replace(result.ctx, weight=weight),
+                             result.words, spec)
     assert checks == {"E1": "0", "E2": "0"}
 
 
@@ -255,7 +257,7 @@ def test_specialize_vector_detects_vanishing_locus():
     weight = Weight.concrete([1, 2])
     with pytest.raises(DenominatorVanishesError):
         specialize_vector(result.basis[0], datum, weight)
-    report = specialize_scan(result, datum, weight)
+    report = specialize_scan(result, weight)
     assert report["status"] == "denominator-vanishes"
     assert report["weight"] == "1,2"
 
@@ -263,7 +265,19 @@ def test_specialize_vector_detects_vanishing_locus():
 def test_specialize_scan_ok_branch():
     datum = CATALOG["sl3"]
     result = singular_scan(datum, (2, 1))
-    report = specialize_scan(result, datum, Weight.concrete([Fraction(1, 3), 5]))
+    report = specialize_scan(result, Weight.concrete([Fraction(1, 3), 5]))
+    assert report["status"] == "ok"
+    assert report["residual_checks"] == [{"E1": "0", "E2": "0"}]
+
+
+def test_specialize_scan_uses_the_scan_context():
+    """A specialization reads the datum and the faults from the scan, so a
+    faulted kernel is checked against the faulted operator it came from."""
+    faults = FaultInjection(flip_raising_prefactor=True)
+    result = singular_scan(CATALOG["sl2_1"], (1, 2), faults=faults)
+    assert result.ctx.faults == faults
+    assert result.residuals == [{"E1": "0", "E2": "0"}]
+    report = specialize_scan(result, Weight.concrete([3, 5]))
     assert report["status"] == "ok"
     assert report["residual_checks"] == [{"E1": "0", "E2": "0"}]
 
@@ -278,22 +292,21 @@ def test_specializations_check_residuals_on_the_polynomial_vector(
     assert "polys" not in result.to_json()
     checked = []
 
-    def spy(datum, words, vec, *args):
+    def spy(ctx, words, vec):
         checked.append(vec)
-        return residual_checks(datum, words, vec, *args)
+        return residual_checks(ctx, words, vec)
 
     monkeypatch.setattr(serre, "residual_checks", spy)
     weight = Weight.concrete([1, 7])
-    assert specialize_scan(result, datum, weight)["status"] == "ok"
+    assert specialize_scan(result, weight)["status"] == "ok"
     (poly,) = result.polys
     assert checked == [specialize_vector(poly, datum, weight)]
     assert all(c.den == PhaseScalar.one(2).den for c in checked[0])
 
     checked.clear()
     zero = [PhaseScalar.zero(2)] * len(poly)
-    assert serre._kernel_residuals(datum, result.words, zero, result.basis[0],
-                                   Weight.generic(), NO_FAULTS) == \
-        {"E1": "0", "E2": "0"}
+    assert serre._kernel_residuals(result.ctx, result.words, zero,
+                                   result.basis[0]) == {"E1": "0", "E2": "0"}
     assert checked == [result.basis[0]]
 
 
