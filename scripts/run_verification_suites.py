@@ -3,28 +3,33 @@
 
 Also runs the three negative controls: each sabotaged sign convention has to
 make at least one suite fail, otherwise the suites are not actually
-sensitive to the conventions they claim to pin down.
+sensitive to the conventions they claim to pin down.  A depth below 1 sweeps
+no state, so it is rejected with `error:` and exit 2, as in the CLI.
 
 Usage:
     python3 scripts/run_verification_suites.py [--depth 4] [--tensor-depth 3]
 """
 
-import argparse
 import sys
 import time
 from dataclasses import fields
 
 from qscreen import CATALOG, FaultInjection
+from qscreen.cli import Parser
 from qscreen.hopf import verify_coproduct, verify_hopf_axioms, verify_relations
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    parser = Parser(description=__doc__)
     parser.add_argument("--depth", type=int, default=4,
                         help="contour depth for the relation sweep")
     parser.add_argument("--tensor-depth", type=int, default=3,
                         help="per-factor depth for the coproduct sweep")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    for flag, depth in (("--depth", args.depth),
+                        ("--tensor-depth", args.tensor_depth)):
+        if depth < 1:
+            parser.error(f"{flag} must be at least 1, got {depth}")
 
     failures = 0
     print("== positive suites ==")

@@ -337,7 +337,7 @@ def parse_letter(token: str) -> Letter:
     kind = token[0].upper()
     inverse = kind == "K" and token.endswith("-")
     digits = token[1:-1] if inverse else token[1:]
-    if kind not in ("E", "F", "K") or not digits.isdigit() or int(digits) < 1:
+    if kind not in ("E", "F", "K") or not digits.isdecimal() or int(digits) < 1:
         raise ValueError(f"bad generator token {token!r}")
     j = int(digits) - 1
     return ("K", j, -1 if inverse else 1) if kind == "K" else (kind, j)

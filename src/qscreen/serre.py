@@ -25,11 +25,11 @@ are those of fraction-free Gauss-Jordan elimination: the rows from each
 pivot down hold the same values in both, so the same pivot rows are chosen,
 and each back-substitution step solves for the minor that Gauss-Jordan
 would leave in its pivot row.  Only the updates of the rows above each
-pivot are saved.  The residual checks run on that vector, at the scan's
-weight and at each specialization, and only a vector that fails is checked
-again, as printed, so that the failure shows in the printed terms.  They
-run in the scan's module context, `ScanResult.ctx` (datum, weight and
-faults); a specialization changes only its weight.
+pivot are saved.  A `ScanResult` stores that vector only and derives the
+printed basis and the residual checks when they are first read.  The checks
+run on it in the scan's module context, `ScanResult.ctx`, at its weight and
+at each specialization's; only a vector that fails is checked again, as
+printed, so that the failure shows in the printed terms.
 
 The printed form is built in one place, `normal_form`: the lead coordinate
 is the literal 1 and every other one is v_k / v_lead.  No polynomial gcd is
@@ -53,7 +53,8 @@ entries are unpacked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .contour import (
@@ -196,20 +197,31 @@ def normal_form(vec: Sequence[PhaseScalar]) -> list[PhaseScalar]:
 
 @dataclass
 class ScanResult:
-    """A scan and the module context `ctx` it ran in (datum, weight and
-    faults), which its residual checks and specializations read."""
+    """A scan, in its module context `ctx` (datum, weight and faults), kept
+    as one kernel form: `nullspace`'s polynomial vectors `polys`.  The
+    printed `basis` and the `residuals` are derived when first read."""
 
     ctx: ModuleContext
     multidegree: tuple[int, ...]
     words: list[Seq]
-    basis: list[list[PhaseScalar]]
-    # `nullspace`'s polynomial vectors, one per basis vector; not printed
     polys: list[list[PhaseScalar]]
-    residuals: list[dict[str, str]] = field(default_factory=list)
+
+    @cached_property
+    def basis(self) -> list[list[PhaseScalar]]:
+        basis = [normal_form(poly) for poly in self.polys]
+        if not self.ctx.weight.is_generic:
+            # No z is left to specialize, so no vanishing locus is at stake.
+            basis = [[c.reduce_exact() for c in vec] for vec in basis]
+        return basis
+
+    @cached_property
+    def residuals(self) -> list[dict[str, str]]:
+        return [_kernel_residuals(self.ctx, self.words, poly, vec)
+                for poly, vec in zip(self.polys, self.basis)]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.polys)
 
     def basis_as_tokens(self) -> list[dict[str, str]]:
         return [vector_tokens(self.words, vec) for vec in self.basis]
@@ -279,20 +291,8 @@ def singular_scan(datum: RootDatum, multidegree: Sequence[int],
                 block[targets[t]][col[w]] = coeff
         rows.extend(block)
 
-    polys = nullspace(rows, len(words), ctx.arity)
-    basis = [normal_form(poly) for poly in polys]
-    if not weight.is_generic:
-        # No z is left to specialize, so no vanishing locus is at stake.
-        basis = [[c.reduce_exact() for c in vec] for vec in basis]
-    return ScanResult(
-        ctx=ctx,
-        multidegree=multidegree,
-        words=words,
-        basis=basis,
-        polys=polys,
-        residuals=[_kernel_residuals(ctx, words, poly, vec)
-                   for poly, vec in zip(polys, basis)],
-    )
+    return ScanResult(ctx, multidegree, words,
+                      nullspace(rows, len(words), ctx.arity))
 
 
 def _kernel_residuals(ctx: ModuleContext, words: list[Seq],
@@ -350,8 +350,11 @@ def specialize_scan(result: ScanResult, weight: Weight) -> dict:
     specialized first, so that a vanishing v_lead is reported as such;
     the residuals are then checked on the specialized polynomial vectors
     (`_kernel_residuals`) in the scan's context at `weight`, so a faulted
-    kernel meets the operator it was computed from.
+    kernel meets the operator it was computed from.  A scan run at a
+    concrete weight raises ValueError: its kernel may hold there only.
     """
+    if not result.ctx.weight.is_generic:
+        raise ValueError("specialize_scan needs a scan at generic weight")
     datum = result.ctx.datum
     try:
         basis = [specialize_vector(vec, datum, weight) for vec in result.basis]

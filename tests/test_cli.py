@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qscreen import serre
 from qscreen.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -376,6 +377,54 @@ def test_scan_script_exits_1_on_a_nonzero_residual(monkeypatch, capsys):
                         lambda *args: {"E1": "1"})
     assert script.main(argv) == 1
     assert "residuals of vector 1: NONZERO E1=1" in capsys.readouterr().out
+
+
+def test_verification_script_rejects_a_depth_below_1(capsys):
+    """A depth below 1 sweeps no state, so the suites script exits 2 with
+    `error:` rather than reporting every suite as passed."""
+    path = README.parent / "scripts" / "run_verification_suites.py"
+    spec = importlib.util.spec_from_file_location("run_verification_suites",
+                                                  path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for argv in (["--depth", "0"], ["--tensor-depth", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and argv[0] in captured.err
+        assert "overall" not in captured.out
+
+
+def test_concrete_scan_specializes_a_generic_kernel_unchecked(monkeypatch,
+                                                              capsys):
+    """With a concrete --weight, --specialize specializes the kernel of a
+    separate generic scan, whose own residuals are never computed: one
+    check for the concrete kernel and one for its specialization."""
+    calls = []
+    checks = serre.residual_checks
+
+    def spy(*args):
+        calls.append(args)
+        return checks(*args)
+
+    monkeypatch.setattr(serre, "residual_checks", spy)
+    code, out, _ = run(capsys, "serre-scan", "--algebra", "sl3",
+                       "--multidegree", "2,2", "--weight=1,7",
+                       "--specialize=1,3", "--format", "text")
+    assert code == 0 and len(calls) == 2
+    assert out == """\
+algebra: sl3  multidegree: [2, 2]  weight: 1,7
+kernel dimension: 1
+  vector 1:
+    F1 F1 F2 F2: 1
+    F1 F2 F1 F2: -q - q^-1
+    F2 F1 F2 F1: q + q^-1
+    F2 F2 F1 F1: -1
+  residuals of vector 1: ok E1=0 E2=0
+specialized at (1,3): ok
+"""
+
 
 def test_depth_override(capsys):
     code, _, _ = run(capsys, "verify", "--algebra", "sl2", "--suite",

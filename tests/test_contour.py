@@ -251,8 +251,8 @@ def test_word_tokens_roundtrip():
 
 
 def test_bad_tokens_rejected():
-    for bad in ("G1", "E0", "E", "K-", "Fx", "E1.5"):
-        with pytest.raises(ValueError):
+    for bad in ("G1", "E0", "E", "K-", "Fx", "E1.5", "E²"):
+        with pytest.raises(ValueError, match="bad generator token"):
             parse_letter(bad)
 
 

@@ -310,6 +310,36 @@ def test_specializations_check_residuals_on_the_polynomial_vector(
     assert checked == [result.basis[0]]
 
 
+def test_scan_derives_its_residuals_when_first_read(monkeypatch):
+    """A scan runs no residual check; its residuals are computed on the
+    first read, one check per vector that passes, and kept."""
+    checked = []
+
+    def spy(ctx, words, vec):
+        checked.append(vec)
+        return residual_checks(ctx, words, vec)
+
+    monkeypatch.setattr(serre, "residual_checks", spy)
+    result = singular_scan(CATALOG["sl2_1"], (2, 2))
+    assert result.dimension > 1 and checked == []
+    first = result.residuals
+    assert len(checked) == result.dimension
+    assert result.residuals is first and len(checked) == result.dimension
+    assert all(set(checks.values()) == {"0"} for checks in first)
+
+
+def test_specialize_scan_rejects_a_concrete_scan():
+    """A kernel found at a concrete weight may hold there only: sl2_1 (2,2)
+    at -7/2,-5/3 fails at 2,5, where the generic kernel is `ok`."""
+    datum = CATALOG["sl2_1"]
+    weight = Weight.concrete([2, 5])
+    concrete = singular_scan(datum, (2, 2),
+                             Weight.concrete([Fraction(-7, 2), Fraction(-5, 3)]))
+    with pytest.raises(ValueError, match="generic weight"):
+        specialize_scan(concrete, weight)
+    assert specialize_scan(singular_scan(datum, (2, 2)), weight)["status"] == "ok"
+
+
 def test_scan_json_shape():
     obj = singular_scan(CATALOG["sl2_1"], (0, 2)).to_json()
     assert set(obj) == {"algebra", "multidegree", "weight", "dimension",
