@@ -10,7 +10,10 @@ antipode laws at once.
 
 The `serre-scan` cases pin a generic kernel with one `denominator-vanishes`
 and one `ok` specialization, a concrete-weight kernel of exact Laurent
-quotients, and a half-integer (`osp1_2`) kernel.  Two scans solve a matrix
+quotients, and a half-integer (`osp1_2`) kernel.  Two more mix
+exponent denominators: the generic `osp1_4` (1,2) kernel specialized at
+thirds and at quarters prints sixths, and the concrete sl3 (3,1) kernel
+at `-3/2,5/3` is a panel scan of the `scan` benchmark.  Two scans solve a matrix
 blind to `E1`, so their kernels are wrong.  At generic weight both the
 scan's residuals and its specialization report the failure (`NONZERO`,
 `residual-nonzero`, exit 1).  At the concrete weight `-7/2,-5/3` all four
@@ -39,6 +42,7 @@ from qscreen import hopf, serre
 from qscreen.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+OSP1_4 = str(Path(__file__).parent / "algebras" / "osp1_4.json")
 FAULTS = ("drop_hat_parity", "drop_interchange_sign", "flip_raising_prefactor")
 _coproduct_letter = hopf.coproduct_letter
 _apply_raising_hat = serre.apply_raising_hat
@@ -83,6 +87,12 @@ def cases():
            ["serre-scan", "--algebra", "osp1_2", "--multidegree", "4"], None, 0)
     yield ("scan_sl3_2_1_blind_to_e1", sl3_21 + ["--specialize", "1,7"],
            BLIND, 1)
+    yield ("scan_osp1_4_1_2_specialized",
+           ["serre-scan", "--config", OSP1_4, "--multidegree", "1,2",
+            "--specialize=1/3,-2", "--specialize=-5/4,1/3"], None, 0)
+    yield ("scan_sl3_3_1_concrete",
+           ["serre-scan", "--algebra", "sl3", "--multidegree", "3,1",
+            "--weight=-3/2,5/3"], None, 0)
     act = ["act", "--algebra", "sl2_1", "--word", "E2 F2 E1 F1",
            "--start", "2,1"]
     yield ("act_sl2_1_generic", act, None, 0)
