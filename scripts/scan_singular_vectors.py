@@ -6,7 +6,8 @@ the exact linear system at generic weight.  Each nontrivial kernel is printed
 in `serre-scan`'s text format: the kernel dimension, the basis vectors and
 the residual verdict of each.  These are the weight-independent
 (Serre-type) combinations.  Exits 1 when a residual check does not vanish,
-as `serre-scan` does, and 2 on a bad --algebra.
+as `serre-scan` does, and 2 on a bad --algebra.  A --max-total below 1
+scans nothing, so it is rejected with `error:` and exit 2, as in the CLI.
 
 Usage:
     python3 scripts/scan_singular_vectors.py --algebra sl3 --max-total 5
@@ -25,6 +26,8 @@ def main(argv=None) -> int:
     parser.add_argument("--algebra", default="sl3")
     parser.add_argument("--max-total", type=int, default=4)
     args = parser.parse_args(argv)
+    if args.max_total < 1:
+        parser.error(f"--max-total must be at least 1, got {args.max_total}")
 
     try:
         datum = resolve_algebra(args.algebra)

@@ -16,27 +16,33 @@ key group Q x Z^N is ordered, the sums form an integral domain, so the
 quotients below are a genuine fraction field and equality can be decided by
 cross-multiplication.  No gcd over these sums is ever computed.
 
-Each q-exponent a and coefficient c is an int, or a Fraction when
-non-integral; almost every value in play is integral, and int arithmetic
-and hashing cost far less than Fraction's.  This module owns that format
-for the whole package: `rational` brings a value into it wherever values
-enter, and `ratio` divides within it exactly, where int / int would give a
-float.  Equal numbers hash and compare equal (hash(Fraction(2)) == hash(2)),
-so an integral Fraction that arithmetic yields later is harmless to keys,
-equality and rendering.
+Each coefficient c is an int, or a Fraction when non-integral.  Each
+scalar carries a positive int `step`, and every q-exponent of its sums is
+an int a read as q^(a/step): half-integer powers from odd roots and the
+sixths of a weight such as -7/2,-5/3 are ints over a step of 2 or 6.  So
+adding, hashing and comparing keys is int arithmetic, which costs far less
+than Fraction's.  Two scalars with equal steps combine as they are; with
+different steps both are first brought to the lcm of the two (`_aligned`).
+The public constructors take rational exponents and pick the step
+themselves; every internal builder carries it.  A step is never reduced:
+the same value may be stored over 1 or over 6, `==` aligns before it
+compares, and rendering prints `ratio(a, step)`.  This module owns the
+number format for the whole package: `rational` brings a value into it
+wherever values enter, and `ratio` divides within it exactly, where
+int / int would give a float.
 
 Exact division and elimination run on monomial keys packed into one
 Python int.  A `KeyPacking` plan writes (a, m) in balanced mixed radix,
-most significant field first: z_1 ... z_N, then -a·s, where s is the lcm
-of the q-exponent denominators, so every field holds an int.  Integer
-order is then `term_order`, a product of monomials is a sum of packed
-keys and a quotient a difference, and the leading term of a sum is its
-least int key.  The plan sizes each field from the largest |exponent| of
-its input and from how many factors a key may accumulate, so every key
-the computation forms, and the difference of any two, decodes without
-carry; packing an exponent beyond the plan raises ValueError rather than
-alias another key.  `KeyPacking.divide`, the one long-division loop,
-serves `_pdiv_exact` and `serre.nullspace`.
+most significant field first: z_1 ... z_N, then -a, for sums over one
+step, so every field holds an int.  Integer order is then `term_order`, a
+product of monomials is a sum of packed keys and a quotient a difference,
+and the leading term of a sum is its least int key.  The plan sizes each
+field from the largest |exponent| of its input and from how many factors
+a key may accumulate, so every key the computation forms, and the
+difference of any two, decodes without carry; packing an exponent beyond
+the plan raises ValueError rather than alias another key.
+`KeyPacking.divide`, the one long-division loop, serves `_pdiv_exact` and
+`serre.nullspace`.
 
 Almost every product met in practice is a monomial times a sum, and more
 than half of them have the exact unit as one factor.  `__mul__` returns
@@ -49,7 +55,8 @@ a sum by shifting the sum's keys, which cannot merge or cancel, and
 `__mul__` does not multiply two unit denominators.  Sums and products are
 built through `PhaseScalar._of`, which skips the strip and the unit fold
 that the public constructor applies to outside input: `_padd` and `_pmul`
-store no zero, and a one-term denominator is always exactly 1.
+store no zero, and a one-term denominator is always exactly 1, the same
+sum over every step.
 
 The number of z slots (the arity) is fixed per computation: single modules
 use one slot per simple root, tensor squares use two.  Mixing arities is an
@@ -60,14 +67,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-# Monomial key: (q-exponent, z-exponent vector); the q-exponent is an int,
-# or a Fraction when non-integral.
-Key = tuple[Rational, tuple[int, ...]]
+# Monomial key: (q-exponent, z-exponent vector); the q-exponent is an int a
+# read as q^(a/step), over the step of the scalar that holds the sum.
+Key = tuple[int, tuple[int, ...]]
 # Sparse sum of monomials; each coefficient is an int, or a Fraction when
 # non-integral.  Zero-coefficient entries are never stored.
 Poly = dict[Key, Rational]
@@ -102,7 +109,8 @@ def ratio(a: Rational, b: Rational) -> Rational:
 class KeyPacking:
     """A plan that packs the monomial keys of some sums into ints.
 
-    Fields, most significant first: z_1 ... z_N, then -a·s.  A field of b
+    Fields, most significant first: z_1 ... z_N, then -a, for sums whose
+    q-exponents share one step.  A field of b
     bits holds a balanced digit in [-2^(b-1), 2^(b-1)), so integer order is
     lexicographic order on the digits, which is `term_order`.
 
@@ -121,22 +129,18 @@ class KeyPacking:
     so each of its keys is a sum of two, as in a cross term.
     """
 
-    __slots__ = ("arity", "scale", "_limits", "_widths", "_offset", "_mask")
+    __slots__ = ("arity", "_limits", "_widths", "_offset", "_mask")
 
     def __init__(self, polys: Iterable[Poly], arity: int, factors: int = 1):
-        scale = 1
-        top = [0] * (arity + 1)  # largest |exponent| per field; q unscaled
+        top = [0] * (arity + 1)  # largest |exponent| per field
         for p in polys:
             for a, m in p:
-                if scale % a.denominator:
-                    scale = lcm(scale, a.denominator)
-                top[arity] = max(top[arity], abs(a))
+                if abs(a) > top[arity]:
+                    top[arity] = abs(a)
                 for v, e in enumerate(m):
                     if abs(e) > top[v]:
                         top[v] = abs(e)
-        top[arity] = int(top[arity] * scale)
         self.arity = arity
-        self.scale = scale
         self._limits = [factors * e for e in top]
         guards = [lim.bit_length() + 1 for lim in self._limits]
         self._widths = [g + 2 for g in guards]
@@ -169,15 +173,15 @@ class KeyPacking:
     def pack(self, key: Key) -> int:
         """The packed key; ValueError beyond the plan."""
         a, m = key
-        if len(m) == self.arity and not self.scale % a.denominator:
-            digits = [*m, -a.numerator * (self.scale // a.denominator)]
+        if len(m) == self.arity:
+            digits = [*m, -a]
             if all(-lim <= e <= lim for e, lim in zip(digits, self._limits)):
                 return self.join(digits)
         raise ValueError(f"key {key} is off the packing plan")
 
     def unpack(self, k: int) -> Key:
         *m, e = self.split(k)
-        return (ratio(-e, self.scale), tuple(m))
+        return (-e, tuple(m))
 
     def pack_poly(self, p: Poly) -> dict[int, Rational]:
         return {self.pack(k): c for k, c in p.items()}
@@ -273,10 +277,11 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
             return dict(p2)
         return {(a + a0, m): c * c0 for (a, m), c in p2.items()}
     out: Poly = {}
+    get = out.get
     for (a1, m1), c1 in p1.items():
         for (a2, m2), c2 in p2.items():
-            k = (a1 + a2, tuple(x + y for x, y in zip(m1, m2)))
-            out[k] = out.get(k, 0) + c1 * c2
+            k = (a1 + a2, tuple(map(add, m1, m2)))
+            out[k] = get(k, 0) + c1 * c2
     return _strip(out)
 
 
@@ -293,6 +298,24 @@ def _pdiv_exact(n: Poly, d: Poly) -> Poly:
         return _pdiv_term(n, *next(iter(d.items())))
     plan = KeyPacking((n, d), len(next(iter(d))[1]), 2)
     return plan.unpack_poly(plan.divide(plan.pack_poly(n), plan.pack_poly(d)))
+
+
+def _aligned(x: PhaseScalar, y: PhaseScalar) -> tuple[PhaseScalar, ...]:
+    """x and y over one step, the lcm of theirs."""
+    step = lcm(x.step, y.step)
+    return x._at(step), y._at(step)
+
+
+def _over(p: Poly, step: int) -> Poly:
+    """A sum with rational q-exponents as ints over `step`, a multiple of
+    every exponent's denominator."""
+    return {(a.numerator * (step // a.denominator), m): c
+            for (a, m), c in p.items()}
+
+
+def _rescale(p: Poly, f: int) -> Poly:
+    """p with every q-exponent times f: the same sum over f times its step."""
+    return {(a * f, m): c for (a, m), c in p.items()}
 
 
 def _pcross(p: dict[int, Rational], x: dict[int, Rational],
@@ -319,7 +342,7 @@ def _pdiv_term(p: Poly, key: Key, coeff: Rational) -> Poly:
     """Divide a sum by the single monomial coeff*key (always exact)."""
     a0, m0 = key
     return {
-        (rational(a - a0), tuple(x - y for x, y in zip(m, m0))): ratio(c, coeff)
+        (a - a0, tuple(x - y for x, y in zip(m, m0))): ratio(c, coeff)
         for (a, m), c in p.items()
     }
 
@@ -329,7 +352,8 @@ def term_order(key: Key):
 
     Sorts by the z-exponent vector first (lexicographically ascending), then
     by descending q-exponent, so that e.g. q - q^-1 and z1^-1 - z1 both read
-    in their customary order.
+    in their customary order.  Keys over one step compare as the exponents
+    they stand for.
     """
     a, m = key
     return (m, -a)
@@ -340,22 +364,30 @@ class PhaseScalar:
 
     Instances are immutable by convention; all operations return new values.
     The stored pair (num, den) is not canonical: `==` compares by
-    cross-multiplication.
+    cross-multiplication.  Every q-exponent a of num and den is an int read
+    as q^(a/step).
     """
 
-    __slots__ = ("num", "den", "arity")
+    __slots__ = ("num", "den", "arity", "step")
 
     def __init__(self, num: Poly, den: Poly, arity: int):
+        """The quotient num/den of sums with rational q-exponents, over the
+        least step that makes each of them an int."""
         num = _strip(num)
         den = _strip(den)
+        step = lcm(*(a.denominator for p in (num, den) for a, _ in p))
+        self._fold(_over(num, step), _over(den, step), arity, step)
+
+    def _fold(self, num: Poly, den: Poly, arity: int, step: int) -> None:
+        """Store num/den over `step`, both free of zeros: a zero value gets
+        the unit denominator and a one-term denominator is folded away,
+        unless it is already 1.  So a stored one-term denominator is always
+        exactly 1."""
         if not den:
             raise ZeroDivisionError("phase scalar with zero denominator")
         if not num:
             den = _one_poly(arity)
         elif len(den) == 1:
-            # A single-monomial denominator is a unit: fold it away, unless
-            # it is already 1.  So a stored one-term denominator is always
-            # exactly 1.
             key, coeff = next(iter(den.items()))
             if coeff != 1 or key[0] != 0 or any(key[1]):
                 num = _pdiv_term(num, key, coeff)
@@ -363,23 +395,42 @@ class PhaseScalar:
         self.num = num
         self.den = den
         self.arity = arity
+        self.step = step
 
     @classmethod
-    def _of(cls, num: Poly, den: Poly, arity: int) -> "PhaseScalar":
-        """Build without `__init__`'s strip and fold: num stores no zero,
-        and den is exactly 1 or has two or more terms, as for every sum,
-        product and negation of scalars."""
+    def _folded(cls, num: Poly, den: Poly, arity: int,
+                step: int) -> "PhaseScalar":
+        """num/den over `step`, both free of zeros, through `_fold`."""
+        out = cls.__new__(cls)
+        out._fold(num, den, arity, step)
+        return out
+
+    @classmethod
+    def _of(cls, num: Poly, den: Poly, arity: int, step: int) -> "PhaseScalar":
+        """Build without `_fold`: num stores no zero, and den is exactly 1
+        or has two or more terms, as for every sum, product and negation
+        of scalars."""
         out = cls.__new__(cls)
         out.num = num
         out.den = den if num else _one_poly(arity)
         out.arity = arity
+        out.step = step
         return out
+
+    def _at(self, step: int) -> "PhaseScalar":
+        """This value over `step`, a multiple of its own step."""
+        if step == self.step:
+            return self
+        f = step // self.step
+        # a one-term den is the unit, the same sum over every step
+        den = self.den if len(self.den) == 1 else _rescale(self.den, f)
+        return PhaseScalar._of(_rescale(self.num, f), den, self.arity, step)
 
     # ---- constructors ----
 
     @classmethod
     def zero(cls, arity: int) -> "PhaseScalar":
-        return cls._of({}, _one_poly(arity), arity)
+        return cls._of({}, _one_poly(arity), arity, 1)
 
     @classmethod
     def one(cls, arity: int) -> "PhaseScalar":
@@ -396,8 +447,9 @@ class PhaseScalar:
         if len(m) != arity:
             raise ArityMismatchError(f"exponent vector {m} has arity {len(m)}, expected {arity}")
         coeff = rational(coeff)
-        num = {} if coeff == 0 else {(rational(a), m): coeff}
-        return cls._of(num, _one_poly(arity), arity)
+        a = rational(a)
+        num = {} if coeff == 0 else {(a.numerator, m): coeff}
+        return cls._of(num, _one_poly(arity), arity, a.denominator)
 
     def _coerce(self, other) -> "PhaseScalar":
         if isinstance(other, PhaseScalar):
@@ -423,16 +475,20 @@ class PhaseScalar:
             return self
         if not self.num:
             return other
+        if self.step != other.step:
+            self, other = _aligned(self, other)
         if self.den == other.den:
             return PhaseScalar._of(_padd(self.num, other.num), self.den,
-                                   self.arity)
+                                   self.arity, self.step)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return PhaseScalar._of(num, _pmul(self.den, other.den), self.arity)
+        return PhaseScalar._of(num, _pmul(self.den, other.den), self.arity,
+                               self.step)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhaseScalar._of(_pneg(self.num), self.den, self.arity)
+        return PhaseScalar._of(_pneg(self.num), self.den, self.arity,
+                               self.step)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -456,18 +512,21 @@ class PhaseScalar:
             return self
         if len(self.den) == 1 and self.num == self.den:
             return other
+        if self.step != other.step:
+            self, other = _aligned(self, other)
         if len(self.den) == len(other.den) == 1:
             den = self.den  # both are the unit: see `__init__`
         else:
             den = _pmul(self.den, other.den)
-        return PhaseScalar._of(_pmul(self.num, other.num), den, self.arity)
+        return PhaseScalar._of(_pmul(self.num, other.num), den, self.arity,
+                               self.step)
 
     __rmul__ = __mul__
 
     def invert(self) -> "PhaseScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero phase scalar")
-        return PhaseScalar(self.den, self.num, self.arity)
+        return PhaseScalar._folded(self.den, self.num, self.arity, self.step)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -501,6 +560,8 @@ class PhaseScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.step != other.step:
+            self, other = _aligned(self, other)
         if self.den == other.den:
             return self.num == other.num
         return _pmul(self.num, other.den) == _pmul(other.num, self.den)
@@ -522,7 +583,8 @@ class PhaseScalar:
             quotient = _pdiv_exact(self.num, self.den)
         except ValueError:
             return self
-        return PhaseScalar._of(quotient, _one_poly(self.arity), self.arity)
+        return PhaseScalar._of(quotient, _one_poly(self.arity), self.arity,
+                               self.step)
 
     # ---- substitution ----
 
@@ -538,12 +600,17 @@ class PhaseScalar:
         if len(exps) != self.arity:
             raise ArityMismatchError(
                 f"{len(exps)} substitution values for arity {self.arity}")
+        # over the lcm of this step and the values' denominators, z_k is
+        # q^(shifts[k]/step) and this value's exponents are f times theirs
+        step = lcm(self.step, *(e.denominator for e in exps))
+        f = step // self.step
+        shifts = [e.numerator * (step // e.denominator) for e in exps]
+        zeros = (0,) * self.arity
 
         def sub(p: Poly) -> Poly:
             out: Poly = {}
             for (a, m), c in p.items():
-                key = (rational(a + sum(mk * ek for mk, ek in zip(m, exps))),
-                       (0,) * self.arity)
+                key = (a * f + sum(map(mul, m, shifts)), zeros)
                 out[key] = out.get(key, 0) + c
             return _strip(out)
 
@@ -551,7 +618,7 @@ class PhaseScalar:
         if not den:
             raise DenominatorVanishesError(
                 "denominator vanishes under z substitution")
-        return PhaseScalar(sub(self.num), den, self.arity)
+        return PhaseScalar._folded(sub(self.num), den, self.arity, step)
 
     # ---- rendering ----
 
@@ -559,12 +626,12 @@ class PhaseScalar:
         """Deterministic text form; `wrap` parenthesizes multi-term sums."""
         if self.is_zero():
             return "0"
-        num_s = render_poly(self.num)
+        num_s = render_poly(self.num, self.step)
         if len(self.den) == 1:
             if wrap and len(self.num) > 1:
                 return f"({num_s})"
             return num_s
-        return f"({num_s})/({render_poly(self.den)})"
+        return f"({num_s})/({render_poly(self.den, self.step)})"
 
     def __str__(self) -> str:
         return self.render()
@@ -573,14 +640,15 @@ class PhaseScalar:
         return f"PhaseScalar({self.render()!r}, arity={self.arity})"
 
 
-def render_poly(p: Poly) -> str:
-    """Render a sum of monomials, terms ordered by `term_order`."""
+def render_poly(p: Poly, step: int) -> str:
+    """Render a sum of monomials over `step`, terms ordered by
+    `term_order`."""
     if not p:
         return "0"
     parts: list[str] = []
     for key in sorted(p, key=term_order):
         c = p[key]
-        body = _render_monomial(abs(c), key)
+        body = _render_monomial(abs(c), key, step)
         if not parts:
             parts.append(f"-{body}" if c < 0 else body)
         else:
@@ -588,11 +656,11 @@ def render_poly(p: Poly) -> str:
     return "".join(parts)
 
 
-def _render_monomial(c: Rational, key: Key) -> str:
+def _render_monomial(c: Rational, key: Key, step: int) -> str:
     a, m = key
     factors: list[str] = []
     if a != 0:
-        factors.append("q" if a == 1 else f"q^{exp_token(a)}")
+        factors.append("q" if a == step else f"q^{exp_token(ratio(a, step))}")
     for slot, e in enumerate(m):
         if e != 0:
             name = f"z{slot + 1}"

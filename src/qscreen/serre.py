@@ -43,18 +43,21 @@ guessing.  A scan at a concrete weight has no z left to specialize, so there
 each coordinate is replaced by its exact Laurent quotient whenever v_lead
 divides it.
 
-The elimination runs on monomial keys packed into ints (`phase.KeyPacking`):
-`nullspace` packs the matrix once, on entry, with rational q-exponents
-(odd roots, concrete weights such as -7/2,-5/3) scaled by the lcm of their
-denominators.  Multiplying monomials then adds ints, dividing subtracts
-them, and a leading term is a least int.  Only the minor D and the kernel
-entries are unpacked.
+The elimination runs on monomial keys packed into ints (`phase.KeyPacking`).
+Every scalar already holds its q-exponents as ints over its own step (odd
+roots give halves, concrete weights such as -7/2,-5/3 give sixths), so
+`nullspace` brings the entries to the lcm of their steps and packs the
+matrix once, on entry; the kernel vectors come back over that step, and
+`normal_form` keeps it.  Multiplying monomials then adds ints, dividing
+subtracts them, and a leading term is a least int.  Only the minor D and
+the kernel entries are unpacked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .contour import (
@@ -129,17 +132,20 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
     equation is the back-substitution step, and d_k != 0 makes its
     solution unique.  The rows above each pivot are never touched.
 
-    The entries are packed on entry by one `KeyPacking` plan, sized for
-    minors of order up to ncols, so that the elimination multiplies,
-    subtracts and divides (`KeyPacking.divide`) sums keyed by ints.  Only
-    D and the kernel entries are unpacked.
+    The entries are brought to one step, the lcm of theirs, and packed on
+    entry by one `KeyPacking` plan, sized for minors of order up to ncols,
+    so that the elimination multiplies, subtracts and divides
+    (`KeyPacking.divide`) sums keyed by ints.  Only D and the kernel
+    entries are unpacked, over that step.
     """
     one = _one_poly(arity)
     if any(e.den != one for row in rows for e in row):
         raise ValueError("nullspace needs Laurent-polynomial entries")
-    plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
+    step = lcm(*(e.step for row in rows for e in row))
+    nums = [[e._at(step).num for e in row] for row in rows]
+    plan = KeyPacking((x for row in nums for x in row), arity, ncols)
     divide = plan.divide
-    matrix = [[plan.pack_poly(e.num) for e in row] for row in rows]
+    matrix = [[plan.pack_poly(x) for x in row] for row in nums]
     matrix = [row for row in matrix if any(row)]
     pivots: list[int] = []  # pivot column of each echelon row
     prev = {0: 1}  # the packed unit
@@ -182,17 +188,21 @@ def nullspace(rows: list[list[PhaseScalar]], ncols: int,
         vec[free] = minor
         for k, pc in enumerate(pivots):
             vec[pc] = {plan.unpack(key): -x for key, x in g[k].items()}
-        basis.append([PhaseScalar._of(x, one, arity) for x in vec])
+        basis.append([PhaseScalar._of(x, one, arity, step) for x in vec])
     return basis
 
 
 def normal_form(vec: Sequence[PhaseScalar]) -> list[PhaseScalar]:
     """A polynomial kernel vector as printed: the first nonzero coordinate
-    is the literal 1 and every other one is the quotient v_k / v_lead."""
+    is the literal 1 and every other one is the quotient v_k / v_lead, over
+    the step of the coordinates (the lcm of theirs, if they differ)."""
     lead = next(k for k, c in enumerate(vec) if not c.is_zero())
+    step = lcm(*(c.step for c in vec))
+    vec = [c._at(step) for c in vec]
     den = vec[lead].num
     return [PhaseScalar.one(c.arity) if k == lead
-            else PhaseScalar(c.num, den, c.arity) for k, c in enumerate(vec)]
+            else PhaseScalar._folded(c.num, den, c.arity, step)
+            for k, c in enumerate(vec)]
 
 
 @dataclass

@@ -379,6 +379,22 @@ def test_scan_script_exits_1_on_a_nonzero_residual(monkeypatch, capsys):
     assert "residuals of vector 1: NONZERO E1=1" in capsys.readouterr().out
 
 
+def test_scan_script_rejects_a_max_total_below_1(capsys):
+    """A --max-total below 1 scans no multidegree, so the scan script exits
+    2 with `error:` rather than reporting that it found nothing."""
+    path = README.parent / "scripts" / "scan_singular_vectors.py"
+    spec = importlib.util.spec_from_file_location("scan_singular_vectors", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for argv in (["--max-total", "0"], ["--algebra", "sl2", "--max-total", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--max-total" in captured.err
+        assert "total singular combinations found" not in captured.out
+
+
 def test_verification_script_rejects_a_depth_below_1(capsys):
     """A depth below 1 sweeps no state, so the suites script exits 2 with
     `error:` rather than reporting every suite as passed."""

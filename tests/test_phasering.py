@@ -5,6 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,11 @@ from qscreen.phase import (
     _pmul,
     q_number,
     q_power,
-    rational,
+    ratio,
     term_order,
     z_power,
 )
+from test_serre import scalar_to_sympy
 
 
 def test_zero_and_one():
@@ -208,8 +210,9 @@ def test_arity_two_field(a, b):
 # ---- exact division of sums ----
 
 def _sum(*terms):
-    """A raw sum from (coeff, q-exponent, z-exponents) triples."""
-    return _padd({}, {(Fraction(a), tuple(m)): Fraction(c) for c, a, m in terms})
+    """A raw sum from (coeff, q-exponent, z-exponents) triples; a raw sum
+    holds each q-exponent as an int over its step."""
+    return _padd({}, {(a, tuple(m)): Fraction(c) for c, a, m in terms})
 
 
 def test_exact_division_known_quotients():
@@ -257,8 +260,8 @@ def test_exact_division_stops_on_infinite_series():
 
 
 def _raw_sums(arity, min_size=1):
-    key = st.tuples(st.integers(-6, 6).map(lambda n: Fraction(n, 2)),
-                    st.tuples(*[small_ints] * arity))
+    """Raw sums over step 2: the int q-exponent n stands for q^(n/2)."""
+    key = st.tuples(st.integers(-6, 6), st.tuples(*[small_ints] * arity))
     coeff = st.fractions(min_value=-4, max_value=4,
                          max_denominator=3).filter(lambda f: f != 0)
     return st.dictionaries(key, coeff, min_size=min_size, max_size=4)
@@ -283,31 +286,40 @@ def test_exact_division_rejects_non_multiples(triple):
         _divide_or_time_out(_padd(_pmul(a, b), t), b)
 
 
+def _exponents(p, step):
+    """A stored sum with each int q-exponent a read as a / step."""
+    return {(ratio(a, step), m): c for (a, m), c in p.items()}
+
+
 def test_reduce_exact_on_thirds():
-    """`reduce_exact` divides on exponents scaled to ints and maps the
-    quotient back: it is exact, and an integral q-exponent is an int."""
+    """`reduce_exact` divides on int exponents over the scalar's step: it
+    is exact, and every stored q-exponent is an int."""
     q = q_power(Fraction(1, 3), 0)
     third = ((q + q ** 3) / (1 + q ** 2)).reduce_exact()
-    assert third.num == {(Fraction(1, 3), ()): 1}
+    assert _exponents(third.num, third.step) == {(Fraction(1, 3), ()): 1}
     assert third.den == {(0, ()): 1}
     whole = ((q ** 2 + q ** 4) / (q ** -1 + q)).reduce_exact()
-    assert whole.num == {(1, ()): 1}
+    assert _exponents(whole.num, whole.step) == {(1, ()): 1}
     assert [type(a) for a, _ in whole.num] == [int]
     # a true quotient comes back unchanged, exponents and all
     kept = (q / (1 + q)).reduce_exact()
-    assert kept.num == {(Fraction(1, 3), ()): 1}
-    assert kept.den == {(0, ()): 1, (Fraction(1, 3), ()): 1}
+    assert _exponents(kept.num, kept.step) == {(Fraction(1, 3), ()): 1}
+    assert _exponents(kept.den, kept.step) == {(0, ()): 1,
+                                               (Fraction(1, 3), ()): 1}
+    assert all(type(a) is int for x in (third, whole, kept)
+               for p in (x.num, x.den) for a, _ in p)
 
 
 # ---- packed monomial keys ----
 
 @st.composite
 def packed_keys(draw):
-    """A packing plan over some keys of arity 0-3 with q-exponent
-    denominators 1-4, those keys and the plan's factor count."""
+    """A packing plan over some keys of arity 0-3 with q-exponents n/d,
+    d in 1-4, held as ints over step 12, those keys and the plan's factor
+    count."""
     arity = draw(st.integers(0, 3))
     key = st.tuples(
-        st.builds(lambda n, d: rational(Fraction(n, d)),
+        st.builds(lambda n, d: n * (12 // d),
                   st.integers(-12, 12), st.integers(1, 4)),
         st.tuples(*[st.integers(-5, 5)] * arity))
     keys = draw(st.lists(key, min_size=1, max_size=6))
@@ -349,8 +361,8 @@ def test_packed_sums_are_monomial_products(case):
 @given(packed_keys(), st.data())
 def test_packing_beyond_the_plan_raises(case, data):
     """Each field admits the largest |exponent| of the plan's input times
-    its factor count, and nothing past it; a q-exponent off the plan's
-    denominator raises as well."""
+    its factor count, and nothing past it; a key of another arity raises
+    as well."""
     plan, keys, factors = case
     slot = data.draw(st.integers(0, plan.arity), label="field")
     sign = data.draw(st.sampled_from([1, -1]), label="sign")
@@ -363,11 +375,11 @@ def test_packing_beyond_the_plan_raises(case, data):
     else:
         top = factors * max(abs(k[0]) for k in keys)
         assert plan.unpack(plan.pack((sign * top, m)))[0] == sign * top
-        a = sign * (top + Fraction(1, plan.scale))
+        a = sign * (top + 1)
     with pytest.raises(ValueError):
         plan.pack((a, m))
     with pytest.raises(ValueError):
-        plan.pack((Fraction(1, 5 * plan.scale), keys[0][1]))
+        plan.pack((0, keys[0][1] + (0,)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -377,7 +389,7 @@ def test_guard_box_check_reads_every_field(case, data):
     field's guard box [-G, G), for digits up to 3G from zero."""
     plan, keys, factors = case
     tops = [max(abs(k[1][v]) for k in keys) for v in range(plan.arity)]
-    tops.append(int(max(abs(k[0]) for k in keys) * plan.scale))
+    tops.append(max(abs(k[0]) for k in keys))
     guards = [1 << (factors * t).bit_length() for t in tops]
     digits = [data.draw(st.integers(-3 * g, 3 * g)) for g in guards]
     k = plan.join(digits)
@@ -474,10 +486,10 @@ def test_fraction_keys_equal_int_keys():
 
 def test_substitution_folds_to_int_exponents():
     """A denominator that substitution leaves as one term is folded into
-    the numerator; an integral q-exponent that the fold yields is an int."""
+    the numerator; every q-exponent that the fold yields is an int."""
     q, z = q_power(Fraction(1, 3), 1), z_power(0, 1, 1)
     special = (q / (q ** 4 * z ** -3 + q ** 10 * z ** -2)).substitute_z([-2])
-    assert special.num == {(-7, (0,)): Fraction(1, 2)}
+    assert _exponents(special.num, special.step) == {(-7, (0,)): Fraction(1, 2)}
     assert [type(a) for a, _ in special.num] == [int]
 
 
@@ -522,11 +534,14 @@ def test_pmul_matches_the_double_loop(operands):
 
 def _assert_canonical(x):
     """No stored zero; a zero or one-term denominator is exactly 1, which
-    `render` and the `den == den` shortcut of `==` rely on."""
+    `render` and the `den == den` shortcut of `==` rely on; every stored
+    q-exponent is an int over a positive int step."""
     unit = {(0, (0,) * x.arity): 1}
     assert all(c != 0 for p in (x.num, x.den) for c in p.values())
     if len(x.den) == 1 or not x.num:
         assert x.den == unit
+    assert type(x.step) is int and x.step > 0
+    assert all(type(a) is int for p in (x.num, x.den) for a, _ in p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -553,12 +568,68 @@ def test_constructor_strips_and_folds_outside_input():
     _mixed_sums(n, 0, 4), _mixed_sums(n, 2, 4))))
 def test_reduce_exact_recovers_the_factor(pair):
     """a·b / b reduces to a for exponents in halves and thirds together,
-    with every integral q-exponent stored as an int."""
+    with every q-exponent stored as an int."""
     a, b = pair
     reduced = PhaseScalar(_pmul(a, b), b, len(next(iter(b))[1])).reduce_exact()
-    assert reduced.num == a
+    assert _exponents(reduced.num, reduced.step) == a
     _assert_canonical(reduced)
-    assert all(type(k) is int or k.denominator != 1 for k, _ in reduced.num)
+    assert all(type(k) is int for k, _ in reduced.num)
+
+
+T = sp.Symbol("T")  # q = T^6, so halves and thirds are integer powers of T
+
+
+@st.composite
+def stepped_scalars(draw, arity):
+    """A quotient of `_mixed_sums`, over the step its exponents need: 1,
+    2, 3 or 6."""
+    num = draw(_mixed_sums(arity, 0, 3))
+    den = draw(_mixed_sums(arity, 1, 2))
+    return PhaseScalar(num, den, arity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    stepped_scalars(n), stepped_scalars(n),
+    st.lists(q_exps, min_size=n, max_size=n),
+    st.dictionaries(st.tuples(small_ints, st.tuples(*[small_ints] * n)),
+                    coeffs, min_size=1, max_size=3))))
+def test_arithmetic_across_steps_agrees_with_sympy(case):
+    """`+`, `*`, `/` and `substitute_z` on scalars over different steps
+    agree with sympy, every result is stored over int exponents, and one
+    value built over step 1 and over step 6 compares and prints equal."""
+    a, b, exps, ints = case
+    zs = sp.symbols(f"z1:{a.arity + 1}")
+
+    def to_sympy(x):
+        _assert_canonical(x)
+        return scalar_to_sympy(x, zs, q=T, scale=6)
+
+    def same(x, expr):
+        assert sp.cancel(to_sympy(x) - expr) == 0
+
+    sa, sb = to_sympy(a), to_sympy(b)
+    same(a + b, sa + sb)
+    same(a - b, sa - sb)
+    same(a * b, sa * sb)
+    if not b.is_zero():
+        same(a / b, sa / sb)
+    at = {z: T ** (6 * e) for z, e in zip(zs, exps)}
+    for x, sx in ((a, sa), (a * b, sa * sb)):
+        try:
+            special = x.substitute_z(exps)
+        except DenominatorVanishesError:
+            continue
+        assert special.step % x.step == 0
+        same(special, sx.subs(at))
+
+    whole = PhaseScalar(ints, {(0, (0,) * a.arity): 1}, a.arity)
+    sixths = whole * q_power(Fraction(1, 6), a.arity) \
+        * q_power(Fraction(-1, 6), a.arity)
+    assert (whole.step, sixths.step) == (1, 6)
+    assert whole == sixths and sixths == whole
+    assert str(whole) == str(sixths)
+    assert whole + a == sixths + a
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ code is on that path.
 
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qscreen.phase import (DenominatorVanishesError, KeyPacking, PhaseScalar,
-                           _one_poly, _pcross, q_power)
+                           _one_poly, _pcross, q_power, ratio)
 from qscreen import serre
 from qscreen.contour import FaultInjection
 from qscreen.rootdata import CATALOG, Weight, resolve_algebra
@@ -118,11 +119,12 @@ def oracle_matrix(datum, multidegree):
 
 
 def scalar_to_sympy(x: PhaseScalar, zs, q=Q, scale=1):
-    """x in sympy, with q^a written as q**(a·scale)."""
+    """x in sympy, with q^a written as q**(a·scale), where each stored int
+    exponent is read as a = ratio(stored, x.step)."""
     def poly(p):
         total = sp.Integer(0)
         for (a, m), c in p.items():
-            term = sp.Rational(c) * q ** sp.Rational(a * scale)
+            term = sp.Rational(c) * q ** (sp.Rational(a, x.step) * scale)
             for z, e in zip(zs, m):
                 term *= z ** e
             total += term
@@ -459,10 +461,11 @@ def wide_matrices(draw):
     return rows
 
 
-def ring_poly(p):
-    """A Laurent sum, times T^SHIFT[0]·z1^SHIFT[1]·z2^SHIFT[2], in RING."""
-    terms = {(q_to_t(a) + SHIFT[0], m[0] + SHIFT[1], m[1] + SHIFT[2]):
-             sp.Rational(c) for (a, m), c in p.items()}
+def ring_poly(p, step):
+    """A Laurent sum over `step`, times T^SHIFT[0]·z1^SHIFT[1]·z2^SHIFT[2],
+    in RING."""
+    terms = {(q_to_t(ratio(a, step)) + SHIFT[0], m[0] + SHIFT[1],
+              m[1] + SHIFT[2]): sp.Rational(c) for (a, m), c in p.items()}
     assert all(min(exps) >= 0 for exps in terms)
     return RING(terms)
 
@@ -471,11 +474,11 @@ def rank_at(rows, point):
     """The exact rank over Q of the matrix at one rational point."""
     t, z1, z2 = map(sp.Rational, point)
 
-    def value(p):
-        return sum(sp.Rational(c) * t ** q_to_t(a) * z1 ** m[0] * z2 ** m[1]
-                   for (a, m), c in p.items())
+    def value(x):
+        return sum(sp.Rational(c) * t ** q_to_t(ratio(a, x.step))
+                   * z1 ** m[0] * z2 ** m[1] for (a, m), c in x.num.items())
 
-    matrix = sp.Matrix([[value(x.num) for x in row] for row in rows])
+    matrix = sp.Matrix([[value(x) for x in row] for row in rows])
     return DomainMatrix.from_Matrix(matrix).to_field().rank()
 
 
@@ -486,17 +489,18 @@ def test_nullspace_matches_sympy_on_a_wide_exponent_spread(rows):
     # every vector lies in the kernel: with the distinct denominators of
     # a vector multiplied out, each row sum vanishes as a polynomial
     for vec in basis:
-        dens = []
+        dens = []  # (den, step): a sum is read over its own step
         for x in vec:
-            if x.den not in dens:
-                dens.append(x.den)
+            if (x.den, x.step) not in dens:
+                dens.append((x.den, x.step))
         for row in rows:
             total = RING.zero
             for m_ij, x in zip(row, vec):
-                term = ring_poly(m_ij.num) * ring_poly(x.num)
-                for d in dens:
-                    if d != x.den:
-                        term *= ring_poly(d)
+                term = (ring_poly(m_ij.num, m_ij.step)
+                        * ring_poly(x.num, x.step))
+                for d, step in dens:
+                    if (d, step) != (x.den, x.step):
+                        term *= ring_poly(d, step)
                 total += term
             assert total == 0
     # each vector is the only one nonzero at some column, so they are
@@ -523,8 +527,10 @@ def gauss_jordan_nullspace(rows, ncols, arity):
     row at each pivot step, so that every pivot ends equal to the minor D
     and each free column's kernel vector is read off the pivot rows."""
     one = _one_poly(arity)
-    plan = KeyPacking((e.num for row in rows for e in row), arity, ncols)
-    matrix = [[plan.pack_poly(e.num) for e in row] for row in rows]
+    step = lcm(*(e.step for row in rows for e in row))  # as `nullspace` does
+    nums = [[e._at(step).num for e in row] for row in rows]
+    plan = KeyPacking((x for row in nums for x in row), arity, ncols)
+    matrix = [[plan.pack_poly(x) for x in row] for row in nums]
     matrix = [row for row in matrix if any(row)]
     pivots = []  # (row position, column)
     prev = {0: 1}
@@ -557,7 +563,7 @@ def gauss_jordan_nullspace(rows, ncols, arity):
         vec[free] = minor
         for rp, pc in pivots:
             vec[pc] = {plan.unpack(k): -x for k, x in matrix[rp][free].items()}
-        basis.append([PhaseScalar._of(x, one, arity) for x in vec])
+        basis.append([PhaseScalar._of(x, one, arity, step) for x in vec])
     return basis
 
 
