@@ -40,9 +40,10 @@ from .hopf import (
     run_suite,
     verify_relations,
 )
-from .rootdata import ConfigError, RootDatum, Weight, resolve_algebra
+from .rootdata import (ConfigError, RootDatum, Weight, input_rational,
+                       resolve_algebra)
 from .serre import residuals_vanish, singular_scan, specialize_scan
-from .phase import DenominatorVanishesError, rational
+from .phase import DenominatorVanishesError
 
 MAX_DEPTH = 12
 FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
@@ -57,7 +58,7 @@ def parse_weight(text: str, rank: int) -> Weight:
     if text in ("generic", "", None):
         return Weight.generic()
     try:
-        coords = [rational(part) for part in text.split(",")]
+        coords = [input_rational(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad weight {text!r}: {exc}") from exc
     if len(coords) != rank:
@@ -224,8 +225,7 @@ def cmd_act(args) -> int:
         "word": word_token(word),
         "start": seq_token(start),
         "result": {seq_token(s): c.render() for s, c in sorted(
-            result.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            if not c.is_zero()},
+            result.items(), key=lambda kv: (len(kv[0]), kv[0]))},
     }
     emit(payload, args, lambda: f"{word_token(word)} · {seq_token(start)} = "
                                 f"{render_vector(result)}")

@@ -29,7 +29,11 @@ depends only on (sign, exponent, inner Gram sum), so one call builds it
 once per such triple and multiplies each coefficient by it once.
 
 Vectors over the basis are sparse dicts mapping index sequences to
-PhaseScalar coefficients, in the weight-space given by the context.
+PhaseScalar coefficients, in the weight-space given by the context.  A
+vector never stores a zero coefficient: `accumulate` drops the entries
+that cancel, `vec_scale` returns {} for a zero factor, and a product of
+nonzero scalars is nonzero.  So {} is the zero vector, and `vec_eq`
+compares keys, then coefficients.
 
 Each `ModuleContext` owns one memo of images, read through `word_image`:
 the image of the unit state at a basis state under a word, one per (word,
@@ -46,6 +50,7 @@ coproduct check never read the memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Iterable
 
 from .phase import PhaseScalar, Rational, q_power
@@ -53,7 +58,7 @@ from .rootdata import RootDatum, Weight
 
 # A basis state: tuple of 0-based simple-root indices, outermost first.
 Seq = tuple[int, ...]
-# A sparse vector over basis states.
+# A sparse vector over basis states; it never stores a zero coefficient.
 Vector = dict[Seq, PhaseScalar]
 # A generator letter: ('E', j), ('F', j) or ('K', j, +1 | -1), j 0-based.
 Letter = tuple
@@ -129,7 +134,14 @@ class ModuleContext:
             m = [0] * self.arity
             m[self.z_offset + j] = n
             return PhaseScalar.monomial(1, a, m, self.arity)
-        return q_power(a - n * self.weight.root_pairing(self.datum, j), self.arity)
+        return q_power(a - n * self.pairings[j], self.arity)
+
+    @cached_property
+    def pairings(self) -> tuple[Rational, ...]:
+        """alpha_j . lambda for each simple root j, at a concrete weight;
+        computed once per context, as `qz` reads one per call."""
+        return tuple(self.weight.root_pairing(self.datum, j)
+                     for j in range(self.datum.rank))
 
     def bracket_denominator(self, j: int) -> PhaseScalar:
         d = self.datum.symmetrizer(j)
@@ -161,8 +173,8 @@ def seq_parity(datum: RootDatum, seq: Seq) -> int:
 def accumulate(out: dict, terms: Iterable[tuple[Hashable, PhaseScalar]]) -> dict:
     """Add (key, coefficient) terms into the sparse dict `out`, in place.
 
-    Entries that cancel to zero are dropped, so no zero is ever stored.
-    Returns `out`.
+    Zero terms are skipped and entries that cancel to zero are dropped,
+    so `out` keeps the zero-free contract of `Vector`.  Returns `out`.
     """
     for k, c in terms:
         if c.is_zero():
@@ -187,16 +199,10 @@ def vec_scale(c: PhaseScalar, v: Vector) -> Vector:
     return {seq: c * x for seq, x in v.items()}
 
 
-def vec_sub(v1: Vector, v2: Vector) -> Vector:
-    return vec_add(v1, {s: -c for s, c in v2.items()})
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(c.is_zero() for c in v.values())
-
-
 def vec_eq(v1: Vector, v2: Vector) -> bool:
-    return vec_is_zero(vec_sub(v1, v2))
+    """Equality of two zero-free vectors: the same keys, and equal
+    coefficients at each by `PhaseScalar.__eq__` (cross-multiplication)."""
+    return v1.keys() == v2.keys() and all(v1[k] == c for k, c in v2.items())
 
 
 # ---- generator actions ----
@@ -361,8 +367,9 @@ def render_vector(v: dict, token=seq_token,
 
     Serves every sparse type: module vectors by default, and algebra
     elements, tensor vectors and formal tensors with their own key token.
+    Like a `Vector`, `v` stores no zero coefficient, so {} alone is "0".
     """
-    if not v or vec_is_zero(v):
+    if not v:
         return "0"
     return " + ".join(f"{v[k].render(wrap=True)}·{token(k)}"
-                      for k in sorted(v, key=order) if not v[k].is_zero())
+                      for k in sorted(v, key=order))

@@ -24,6 +24,27 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent algebra configurations."""
 
 
+# The largest numerator or denominator, in bits, of a Gram entry or weight
+# coordinate read from outside.  Reports print q-exponents that are sums of
+# products of these values, and CPython refuses to turn an int of more than
+# 4300 digits into text (PYTHONINTMAXSTRDIGITS may lower that to 640).  64
+# bits are 20 digits, so a sum of a few such products stays far below the
+# limit, and no weight or Gram entry of use comes near the bound.
+MAX_INPUT_BITS = 64
+
+
+def input_rational(x) -> Rational:
+    """`rational(x)` for a value read from outside, or ValueError when its
+    numerator or denominator exceeds MAX_INPUT_BITS.  The check reads bit
+    lengths, since turning such a value into text is what fails."""
+    r = rational(x)
+    if max(abs(r.numerator).bit_length(),
+           r.denominator.bit_length()) > MAX_INPUT_BITS:
+        raise ValueError(
+            f"numerator or denominator exceeds {MAX_INPUT_BITS} bits")
+    return r
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """A rank-r symmetric Gram matrix plus the set of odd simple roots.
@@ -174,7 +195,7 @@ def datum_from_config(obj: dict, name: str = "") -> RootDatum:
     if type(rank) is not int:
         raise ConfigError(f"rank must be an integer, not {rank!r}")
     try:
-        gram = tuple(tuple(rational(str(x)) for x in row) for row in raw_gram)
+        gram = tuple(tuple(input_rational(str(x)) for x in row) for row in raw_gram)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad gram entry: {exc}") from exc
     odd = obj.get("odd", [])
@@ -200,7 +221,7 @@ def load_datum(path: str) -> RootDatum:
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int too long to read
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return datum_from_config(obj, name=path)
 

@@ -14,6 +14,7 @@ import pytest
 
 from qscreen import serre
 from qscreen.cli import build_parser, main
+from qscreen.rootdata import MAX_INPUT_BITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -491,7 +492,7 @@ def test_malformed_config_contents(capsys, tmp_path):
 def test_config_with_malformed_values_exits_2(capsys, tmp_path):
     cfg = tmp_path / "alg.json"
     for bad in ({"odd": [1.5]}, {"odd": [True]}, {"odd": "12"}, {"odd": [0]},
-                {"rank": 2.5}):
+                {"rank": 2.5}, {"gram": [["1e5000"]]}):
         cfg.write_text(json.dumps({"gram": [[2, -1], [-1, 0]], **bad}))
         code, out, err = run(capsys, "verify", "--config", str(cfg))
         assert (code, out) == (2, ""), bad
@@ -535,6 +536,57 @@ def test_braid_rejects_weight_of_wrong_length(capsys, weight):
                        "--weight1", weight, "--weight2", "1,2")
     assert_usage_error(capsys, "braid", "--algebra", "sl3",
                        "--weight1", "1,2", "--weight2", weight)
+
+
+# 10^5000: 5,001 digits, more than CPython turns into text by default
+BIG = "1e5000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "--algebra", "sl2", "--word", "K1", "--weight", BIG),
+    ("braid", "--algebra", "sl2", "--weight1", BIG, "--weight2", "1"),
+    ("serre-scan", "--algebra", "sl2", "--multidegree", "1", "--weight", BIG),
+    ("verify", "--algebra", "sl2", "--weight", BIG),
+], ids=lambda argv: argv[0])
+def test_oversized_weight_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: bad weight '{BIG}': numerator or denominator "
+                   f"exceeds {MAX_INPUT_BITS} bits\n")
+
+
+def test_config_int_too_long_to_read_exits_2(capsys, tmp_path):
+    # json.load itself refuses an int literal of more than 4300 digits
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"gram": [[1' + "0" * 5000 + "]]}")
+    assert_usage_error(capsys, "verify", "--config", str(cfg))
+
+
+def test_values_just_under_the_input_bound_run(capsys, tmp_path):
+    top = 2 ** MAX_INPUT_BITS - 1
+    code, out, err = run(capsys, "act", "--algebra", "sl2", "--word", "K1",
+                         "--weight", str(top))
+    assert (code, err) == (0, "")
+    assert out == f"K1 · U() = q^{2 * top}·U()\n"
+    assert_usage_error(capsys, "act", "--algebra", "sl2", "--word", "K1",
+                       "--weight", f"1/{top + 1}")
+    cfg = tmp_path / "alg.json"
+    cfg.write_text(json.dumps({"gram": [[f"{top}/{top - 1}"]]}))
+    code, out, err = run(capsys, "verify", "--config", str(cfg),
+                         "--depth", "2")
+    assert (code, err) == (0, ""), err
+
+
+def test_act_prints_a_cancelled_result_as_zero(capsys):
+    # at weight 1/2 both removal terms of E1 U(1,1) cancel
+    argv = ("act", "--algebra", "sl2", "--word", "E1", "--start", "1,1",
+            "--weight", "1/2")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "E1 · U(1,1) = 0\n")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert '"result": {}' in out
+    assert json.loads(out)["result"] == {}
 
 
 def test_verify_accepts_hopf_axioms_suite_name(capsys):

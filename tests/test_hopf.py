@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qscreen.contour import FaultInjection, parse_word, vec_eq
+from qscreen.contour import (FaultInjection, ModuleContext, apply_word,
+                             parse_word, vec_add, vec_eq)
 from qscreen.hopf import (
     TensorContext,
+    act_algebra,
     act_tensor_element,
     act_word_pair,
     antipode_word,
     braid_phase,
+    coproduct_element,
     coproduct_letter,
     coproduct_word,
     counit_word,
@@ -224,3 +227,110 @@ def test_braid_phase_multiplicative_in_second_group(name, c1, c2, i1, i2a, i2b):
     joined = braid_phase(datum, w1, i1, w2, i2a + i2b)
     split = braid_phase(datum, w1, i1, w2, i2a) * braid_phase(datum, w1, i1, w2, i2b)
     assert joined * base == split
+
+
+# ---- the zero-free contract of sparse vectors ----
+
+def vec_eq_by_subtraction(v1, v2) -> bool:
+    """Reference equality: every coefficient of v1 - v2 is zero."""
+    diff = dict(v1)
+    for k, c in v2.items():
+        diff[k] = diff[k] - c if k in diff else -c
+    return all(c.is_zero() for c in diff.values())
+
+
+def assert_zero_free(v):
+    zeros = [k for k, c in v.items() if c.is_zero()]
+    assert not zeros, f"zero coefficients stored at {zeros}"
+
+
+@st.composite
+def contract_cases(draw):
+    """Plain data for one module-layer case: algebra, two weights (None
+    for generic), words, states, a relation index, a root, and the terms
+    of two vectors for `vec_eq`."""
+    name = draw(st.sampled_from(sorted(CATALOG)))
+    rank = CATALOG[name].rank
+    weight = st.one_of(st.none(), st.tuples(*[coords] * rank))
+    index = st.integers(0, rank - 1)
+    letter = st.one_of(st.tuples(st.sampled_from("EF"), index),
+                       st.tuples(st.just("K"), index, st.sampled_from([1, -1])))
+    word = st.lists(letter, max_size=3).map(tuple)
+    seq = st.lists(index, max_size=2).map(tuple)
+    # (state, pool index, form index) terms; the second vector sums the
+    # first one's terms in reverse with other stored forms, then a pair
+    # that cancels, and at times one term more
+    term = st.tuples(seq, st.integers(0, 4), st.integers(0, 1))
+    terms = draw(st.lists(term, max_size=4))
+    return (name, draw(weight), draw(weight), draw(word), draw(word),
+            draw(word), draw(seq), draw(seq), draw(st.integers(0, 99)),
+            draw(index), terms, draw(term), draw(st.one_of(st.none(), term)))
+
+
+def scalar_pool(arity: int) -> list[PhaseScalar]:
+    z = PhaseScalar.monomial(1, 0, (1,) + (0,) * (arity - 1), arity)
+    return [one(arity), -q_power(Fraction(1, 2), arity),
+            q_power(-1, arity) * z, q_power(Fraction(1, 3), arity),
+            (1 - q_power(2, arity) * z * z)
+            / (q_power(1, arity) - q_power(-1, arity))]
+
+
+def stored_forms(x: PhaseScalar, arity: int) -> list[PhaseScalar]:
+    """x as it is, and x times d/d, the same value stored over d."""
+    d = 1 + q_power(1, arity)
+    return [x, x * d / d]
+
+
+# E1 U(1,1) in sl2: at weight 1 one removal factor is zero, at 1/2 the
+# image cancels to 0.
+@example(("sl2", (1,), (1,), (("E", 0),), (("E", 0),), (), (0, 0), (0, 0),
+          0, 0, [], ((), 0, 0), None))
+@example(("sl2", (Fraction(1, 2),), (Fraction(1, 2),), (("E", 0),),
+          (("E", 0),), (), (0, 0), (0, 0), 8, 0, [], ((), 0, 0), None))
+@settings(max_examples=60, deadline=None)
+@given(contract_cases())
+def test_module_layer_stores_no_zero_and_vec_eq_matches_subtraction(case):
+    (name, c1, c2, word, w1, w2, s1, s2, rel, j, terms, extra, more) = case
+    datum = CATALOG[name]
+    weight1, weight2 = (Weight.generic() if c is None else Weight.concrete(c)
+                        for c in (c1, c2))
+    ctx = ModuleContext(datum=datum, weight=weight1, depth=6)
+    tctx = TensorContext(datum=datum, weight1=weight1, weight2=weight2,
+                         depth=6)
+    v = {s1: one(ctx.arity)}
+    tv = tensor_state(tctx, s1, s2)
+    relations = list(defining_relations(datum, ctx.arity))
+    _, element = relations[rel % len(relations)]
+    _, tensor_element = list(defining_relations(datum, tctx.arity))[
+        rel % len(relations)]
+    images = [
+        apply_word(ctx, word, v),
+        act_algebra(ctx, element, v),
+        act_word_pair(tctx, w1, w2, tv),
+        act_tensor_element(tctx, coproduct_element(datum, tensor_element,
+                                                   tctx.arity), tv),
+        split_lowering(tctx, j, tv),
+    ]
+    for image in images:
+        assert_zero_free(image)
+
+    pool, arity = scalar_pool(ctx.arity), ctx.arity
+
+    def build(spec):
+        out: dict = {}
+        for k, p, f in spec:
+            out = vec_add(out, {k: stored_forms(pool[p], arity)[f]})
+        return out
+
+    first = build(terms)
+    flip = [(k, p, 1 - f) for k, p, f in reversed(terms)]
+    second = vec_add(build(flip + [extra]),
+                     {extra[0]: -stored_forms(pool[extra[1]], arity)[1 - extra[2]]})
+    if more is not None:
+        second = vec_add(second, build([more]))
+    for a, b in ((first, second), (second, first), (first, first),
+                 (images[0], first), (images[2], images[4])):
+        assert_zero_free(a)
+        assert vec_eq(a, b) == vec_eq_by_subtraction(a, b)
+    if more is None:
+        assert vec_eq(first, second)
