@@ -25,8 +25,9 @@ product over the contours *outside* position l,
 whose sign keeps track of odd contours passing odd contours.  The product
 is a signed power of q, so `apply_raising_hat` carries it as a plain
 (exponent, sign) pair.  The removal factor, crossing times bracket,
-depends only on (sign, exponent, inner Gram sum), so one call builds it
-once per such triple and multiplies each coefficient by it once.
+depends only on the context and (j, whether the bracket's denominator is
+cleared, sign, exponent, inner Gram sum), so each context builds it once
+per such key and each coefficient is multiplied by it once.
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.  A
@@ -35,16 +36,18 @@ that cancel, `vec_scale` returns {} for a zero factor, and a product of
 nonzero scalars is nonzero.  So {} is the zero vector, and `vec_eq`
 compares keys, then coefficients.
 
-Each `ModuleContext` owns one memo of images, read through `word_image`:
-the image of the unit state at a basis state under a word, one per (word,
-state).  It lives and dies with that one instance, whose fields (weight,
-depth, faults) fix every image.  `apply_letter` (and so `apply_word`)
-reads it for E_j and K_j^{+-1}; the tensor sweep of `hopf` reads it for
-the words of its coproduct terms.  `apply_letter` does not memoize F_j: it
-is a plain prepend, cheaper than a lookup, and it must raise
-`DepthExceededError` on every overflow.  `apply_raising_hat` and
-`apply_raising` stay uncached, so the scanner and the closed-form
-coproduct check never read the memo.
+Each `ModuleContext` owns two memos.  One holds images, read through
+`word_image`: the image of the unit state at a basis state under a word,
+one per (word, state).  The other holds the removal factors of
+`apply_raising_hat`.  Both live and die with that one instance, whose
+fields (weight, depth, faults) fix every image and factor.
+`apply_letter` (and so `apply_word`) reads the image memo for E_j and
+K_j^{+-1}; the tensor sweep of `hopf` reads it for the words of its
+coproduct terms.  `apply_letter` does not memoize F_j: it is a plain
+prepend, cheaper than a lookup, and it must raise `DepthExceededError` on
+every overflow.  `apply_raising_hat` and `apply_raising` act on every
+call, reading only the factor memo, so the scanner and the closed-form
+coproduct check never read the image memo.
 """
 
 from __future__ import annotations
@@ -111,6 +114,10 @@ class ModuleContext:
     # (word, seq) -> image of the unit state; see `word_image`.
     _images: dict = field(default_factory=dict, init=False, compare=False,
                           hash=False, repr=False)
+    # (j, clear_denominator, sign, exp, inner) -> removal factor; see
+    # `apply_raising_hat`.
+    _factors: dict = field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
     def __post_init__(self):
         if self.arity == -1:
@@ -236,14 +243,12 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
     leaving Laurent-polynomial coefficients; the kernel of the operator is
     unchanged, which is what the singular-vector scanner relies on.
 
-    The removal factor crossing * bracket is built once per (sign,
-    exponent, inner) triple met in this call, and each coefficient is
-    multiplied by it once.
+    The removal factor crossing * bracket depends on the context and on
+    (j, clear_denominator, sign, exponent, inner) only, so the context
+    memoizes it: it is built once per context and key, and each
+    coefficient is multiplied by it once.
     """
-    denom = (PhaseScalar.one(ctx.arity) if clear_denominator
-             else ctx.bracket_denominator(j))
-    zeros = (0,) * ctx.arity
-    factors: dict[tuple, PhaseScalar] = {}
+    factors = ctx._factors
     out: Vector = {}
     for seq, c in v.items():
         # the crossing product over the contours outside position l
@@ -251,11 +256,14 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
         for l, i in enumerate(seq):
             if i == j:
                 inner = sum(ctx.datum.pair(j, ip) for ip in seq[l + 1:])
-                key = (sign, exp, inner)
+                key = (j, clear_denominator, sign, exp, inner)
                 factor = factors.get(key)
                 if factor is None:
+                    denom = (PhaseScalar.one(ctx.arity) if clear_denominator
+                             else ctx.bracket_denominator(j))
                     bracket = (1 - ctx.qz(2 * inner, j, 2)) / denom
-                    crossing = PhaseScalar.monomial(sign, exp, zeros, ctx.arity)
+                    crossing = PhaseScalar.monomial(sign, exp, (0,) * ctx.arity,
+                                                    ctx.arity)
                     factor = factors[key] = crossing * bracket
                 accumulate(out, [(seq[:l] + seq[l + 1:], c * factor)])
             e, s = ctx.crossing_factor(j, i)

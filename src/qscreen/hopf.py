@@ -24,13 +24,28 @@ record per identity.  Every record, swept or formal, comes from one loop,
 basis state and keeps it as a counterexample, rendered exactly by
 `contour.render_vector` with the key token of the sparse type at hand.
 
-The tensor sweep acts by a word pair w1 (x) w2 on every pair of factor
-states, but each factor image depends on one factor state only.
-`act_word_pair` therefore reads the image of each (word, state) from the
-memo of its factor's `ModuleContext` (`contour.word_image`), and builds
-each pair's image as a product of two stored images: N factor images per
-sweep rather than N² pair images.  The `TensorContext` keeps one pair of
-factor contexts, so the memo lives and dies with it.
+The tensor sweep acts by an element, the sum of coeff * w1 (x) w2, on
+every pair of factor states, but each factor image depends on one factor
+state only.  The image of each (word, state) is therefore read from the
+memo of its factor's `ModuleContext` (`contour.word_image`), and each
+pair's image is built from products of stored images: N factor images
+per sweep rather than N² pair images.  `act_tensor_element` goes one step
+further.  On (U1, U2) the element acts as
+
+    sum_w2 sigma(w2, U1) (sum_w1 coeff w1 U1) (x) w2 U2,
+
+where the interchange sign sigma depends on (w2, U1) only.  So it groups
+the element by right word and reads the nonzero signed left sums of each
+left state, per (right word, left state), from a memo of the
+`TensorContext`; for a relation's coproduct most of these sums are zero,
+and a pair costs only the products of the nonzero ones with the right
+images.  That memo is keyed by the element's id and checked against its
+word pairs and the ids of its coefficients, which the memo holds: a
+freed id is never reused while its sums are stored, and an element with
+other or changed coefficients gets sums of its own.  `act_word_pair`,
+one word pair at a time, is the reference it is tested against.  The
+`TensorContext` keeps one pair of factor contexts and its left sums, so
+every memo lives and dies with it.
 
 Algebra elements and tensor-module vectors are sparse dicts like module
 vectors, so the sums and scalings of `contour` serve them too.
@@ -183,6 +198,12 @@ class TensorContext:
     weight2: Weight = field(default_factory=Weight.generic)
     depth: int = 4
     faults: FaultInjection = NO_FAULTS
+    # id(te) -> (te's word pairs, the ids of its coefficients, te grouped
+    # by right word as {w2: [(w1, coeff), ...]}, which holds the
+    # coefficients so that no id is reused, and {left state: its nonzero
+    # signed left sums}); see `act_tensor_element`.
+    _left_sums: dict = field(default_factory=dict, init=False, compare=False,
+                             hash=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -212,7 +233,7 @@ def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
     """Act by w1 (x) w2, sliding w2 past the left factor with a super sign.
 
     Factor images come from the factor contexts' memos; see the module
-    docstring.
+    docstring.  The sweeps act through `act_tensor_element` instead.
     """
     datum = tctx.datum
     p2 = word_parity(datum, w2)
@@ -231,10 +252,46 @@ def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
 
 def act_tensor_element(tctx: TensorContext, te: TensorElement,
                        tv: TensorVector) -> TensorVector:
+    """Act by te, the sum of coeff * w1 (x) w2, as the sum over right words
+    w2 of sigma(w2, s1) (sum_w1 coeff w1 U_s1) (x) w2 U_s2 on each pair.
+
+    The nonzero signed left sums of each left state s1 are read from the
+    memo of `tctx`; see the module docstring.
+    """
+    words, ids = tuple(te), tuple(map(id, te.values()))
+    entry = tctx._left_sums.get(id(te))
+    if entry is None or entry[0] != words or entry[1] != ids:
+        groups: dict[Word, list] = {}
+        for (w1, w2), coeff in te.items():
+            groups.setdefault(w2, []).append((w1, coeff))
+        entry = tctx._left_sums[id(te)] = (words, ids, groups, {})
+    groups, by_state = entry[2], entry[3]
     out: TensorVector = {}
-    for (w1, w2), coeff in te.items():
-        piece = act_word_pair(tctx, w1, w2, tv)
-        accumulate(out, ((k, coeff * c) for k, c in piece.items()))
+    for (s1, s2), c in tv.items():
+        lefts = by_state.get(s1)
+        if lefts is None:
+            lefts = by_state[s1] = _signed_left_sums(tctx, groups, s1)
+        for w2, left in lefts:
+            v2 = word_image(tctx.right, w2, s2)
+            accumulate(out, (((t1, t2), c * c1 * c2) for t1, c1 in left.items()
+                             for t2, c2 in v2.items()))
+    return out
+
+
+def _signed_left_sums(tctx: TensorContext, groups: dict[Word, list],
+                      s1: Seq) -> list[tuple[Word, Vector]]:
+    """(w2, sigma(w2, s1) sum_w1 coeff w1 U_s1) for each right word w2 of
+    `groups`, in order, where that sum is nonzero."""
+    datum = tctx.datum
+    odd_s1 = seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign
+    out = []
+    for w2, pairs in groups.items():
+        left = accumulate({}, ((t1, coeff * x) for w1, coeff in pairs
+                               for t1, x in word_image(tctx.left, w1, s1).items()))
+        if left:
+            if odd_s1 and word_parity(datum, w2):
+                left = {t1: -x for t1, x in left.items()}
+            out.append((w2, left))
     return out
 
 

@@ -14,6 +14,7 @@ tokens) is 1-based; conversion happens only at those boundaries.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,16 +34,46 @@ class ConfigError(ValueError):
 MAX_INPUT_BITS = 64
 
 
+# A decimal with an exponent, in the syntax of `fractions.Fraction`:
+# whole digits, fraction digits, exponent.
+_DIGITS = r"(\d*|\d+(?:_\d+)*)"
+_SCIENTIFIC = re.compile(
+    rf"\s*[-+]?(?=\d|\.\d){_DIGITS}(?:\.{_DIGITS})?[eE]([-+]?\d+(?:_\d+)*)\s*")
+
+
 def input_rational(x) -> Rational:
     """`rational(x)` for a value read from outside, or ValueError when its
     numerator or denominator exceeds MAX_INPUT_BITS.  The check reads bit
-    lengths, since turning such a value into text is what fails."""
+    lengths, since turning such a value into text is what fails.
+
+    `Fraction` computes 10**exp for a decimal exponent before any bound
+    can be read, so a string with an exponent is sized first: a zero
+    mantissa is read without its exponent, and a nonzero value that the
+    exponent alone puts past the bound is refused unparsed.
+    """
+    m = _SCIENTIFIC.fullmatch(x) if isinstance(x, str) else None
+    if m:
+        frac = (m[2] or "").replace("_", "")
+        digits = m[1].replace("_", "") + frac
+        if not any(map(int, digits)):
+            x = x[:m.start(3) - 1]
+        else:
+            shift = int(m[3]) - len(frac)
+            # The value is at least 10^shift > 2^(3 shift), and at most
+            # len(digits) - 1 trailing zeros cancel into a denominator of
+            # 10^-shift, leaving at least 2^(-shift - len(digits) + 1).
+            if (3 * shift >= MAX_INPUT_BITS
+                    or -shift - len(digits) + 1 >= MAX_INPUT_BITS):
+                raise _oversized()
     r = rational(x)
     if max(abs(r.numerator).bit_length(),
            r.denominator.bit_length()) > MAX_INPUT_BITS:
-        raise ValueError(
-            f"numerator or denominator exceeds {MAX_INPUT_BITS} bits")
+        raise _oversized()
     return r
+
+
+def _oversized() -> ValueError:
+    return ValueError(f"numerator or denominator exceeds {MAX_INPUT_BITS} bits")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Each case is one CLI command and the exit code it must return.  The
 `verify` cases carry counterexamples, so together they pin the
 counterexample sweep and every renderer.  The three negative controls cover
-module vectors and tensor-square vectors.  The formal Hopf axioms never
+module vectors and tensor-square vectors.  Three more run the coproduct
+suite at depth 3 under one fault each, sl3 and osp1_2 at generic weight
+and sl2_1 at two concrete weights, so their counterexamples come from
+tensor actions that reuse one element's left sums across states.  The formal Hopf axioms never
 fail under a fault, so one more case runs the `hopf` suite with a skewed
 coproduct table, which breaks coassociativity, the counit laws and the
 antipode laws at once.
@@ -44,6 +47,13 @@ from qscreen.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 OSP1_4 = str(Path(__file__).parent / "algebras" / "osp1_4.json")
 FAULTS = ("drop_hat_parity", "drop_interchange_sign", "flip_raising_prefactor")
+# Faulted tensor sweeps at depth 3, where the tensor action reuses the
+# left sums of one coproduct element across right states.
+DEPTH_THREE_COPRODUCT = (
+    ("sl3", "flip_raising_prefactor", ()),
+    ("osp1_2", "drop_hat_parity", ()),
+    ("sl2_1", "drop_interchange_sign", ("--weight=-7/2,-5/3", "--weight2=2,5")),
+)
 _coproduct_letter = hopf.coproduct_letter
 _apply_raising_hat = serre.apply_raising_hat
 
@@ -72,6 +82,10 @@ def cases():
     for fault in FAULTS:
         yield (f"verify_sl2_1_d2_{fault}",
                base + ["--suite", "all", "--inject-fault", fault], None, 1)
+    for algebra, fault, weights in DEPTH_THREE_COPRODUCT:
+        yield (f"verify_{algebra}_d3_coproduct_{fault}",
+               ["verify", "--algebra", algebra, "--depth", "3", "--suite",
+                "coproduct", "--inject-fault", fault, *weights], None, 1)
     yield ("verify_sl2_1_d2_skewed_coproduct", base + ["--suite", "hopf"],
            SKEW, 1)
     sl3_21 = ["serre-scan", "--algebra", "sl3", "--multidegree", "2,1"]

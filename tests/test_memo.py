@@ -1,10 +1,13 @@
-"""The per-context memos of generator images in `contour.apply_letter` and
-of factor images in `hopf.act_word_pair`.
+"""The per-context memos: generator images in `contour.apply_letter`,
+removal factors in `contour.apply_raising_hat`, factor images in
+`hopf.act_word_pair` and signed left sums in `hopf.act_tensor_element`.
 
-`apply_word` and `act_word_pair` must agree with the uncached operators
-however the memo is warmed, must never hand out a memoized dict, and must
-stay scoped to one context, so that a clean sweep cannot leak images into a
-negative control.
+`apply_word`, `apply_raising_hat`, `act_word_pair` and
+`act_tensor_element` must agree with uncached or fresh computation however
+the memo is warmed, must never hand out a memoized dict, and must stay
+scoped to one context, so that a clean sweep cannot leak images into a
+negative control.  A left sum must never be served for other coefficients
+than those it was built from.
 """
 
 from dataclasses import replace
@@ -24,8 +27,10 @@ from qscreen.contour import (
     apply_letter,
     apply_lowering,
     apply_raising,
+    apply_raising_hat,
     apply_word,
     parse_word,
+    render_vector,
     seq_parity,
     state,
     vacuum,
@@ -36,7 +41,11 @@ from qscreen.contour import (
 )
 from qscreen.hopf import (
     TensorContext,
+    act_tensor_element,
     act_word_pair,
+    coproduct_element,
+    defining_relations,
+    render_tensor_vector,
     tensor_state,
     verify_coproduct,
     verify_relations,
@@ -289,3 +298,147 @@ def test_word_pair_returns_fresh_vectors():
         assert vec_eq(act_word_pair(tctx, w1, w2, tv), expected)
         assert all(image is not got for ctx in (tctx.left, tctx.right)
                    for image in ctx._images.values())
+
+
+# ---- removal factors of the raising operator ----
+
+def test_factor_memo_keeps_the_cleared_and_full_factors_apart():
+    datum = CATALOG["sl2_1"]
+    v = {(1, 0, 1, 1): PhaseScalar.one(2), (0, 1, 1): q_power(1, 2)}
+    for order in ((True, False), (False, True)):
+        shared = ModuleContext(datum=datum)
+        for clear in order + order:
+            got = apply_raising_hat(shared, 1, v, clear_denominator=clear)
+            fresh = apply_raising_hat(ModuleContext(datum=datum), 1, v,
+                                      clear_denominator=clear)
+            assert vec_eq(got, fresh)
+            assert render_vector(got) == render_vector(fresh)
+        assert {key[1] for key in shared._factors} == {True, False}
+    cleared = apply_raising_hat(shared, 1, v, clear_denominator=True)
+    assert not vec_eq(cleared, apply_raising_hat(shared, 1, v))
+
+
+def test_factor_memo_is_scoped_to_one_context():
+    datum = CATALOG["sl2_1"]
+    clean = ModuleContext(datum=datum)
+    v = state(clean, (1, 0, 1))
+    warm = apply_raising_hat(clean, 1, v)
+    assert clean._factors
+    for fault in ("drop_hat_parity", "flip_raising_prefactor"):
+        faulted = replace(clean, faults=FaultInjection(**{fault: True}))
+        assert not faulted._factors
+        got = apply_raising_hat(faulted, 1, v)
+        assert vec_eq(got, apply_raising_hat(replace(faulted), 1, v))
+        assert not vec_eq(got, warm)
+        assert vec_eq(apply_raising_hat(clean, 1, v), warm)
+    weight = Weight.concrete([1, 2])
+    concrete = replace(clean, weight=weight)
+    assert not concrete._factors
+    assert vec_eq(apply_raising_hat(concrete, 1, v),
+                  apply_raising_hat(ModuleContext(datum=datum, weight=weight),
+                                    1, v))
+    # the memo takes no part in equality, hashing or repr
+    fresh = ModuleContext(datum=datum)
+    assert clean == fresh and hash(clean) == hash(fresh)
+    assert repr(clean) == repr(fresh)
+
+
+# ---- signed left sums of tensor elements ----
+
+def by_word_pairs(tctx: TensorContext, te, tv):
+    """The tensor action as the sum of coeff * act_word_pair, pair by pair."""
+    out: dict = {}
+    for (w1, w2), coeff in te.items():
+        accumulate(out, ((k, coeff * c)
+                         for k, c in act_word_pair(tctx, w1, w2, tv).items()))
+    return out
+
+
+@st.composite
+def element_cases(draw):
+    name = draw(st.sampled_from(["sl2_1", "osp1_2"]))
+    tctx = shared_tensor_context(name, draw(st.booleans()),
+                                 draw(st.sampled_from(FAULTS)))
+    arity = tctx.arity
+    index = st.integers(0, tctx.datum.rank - 1)
+    letter = st.one_of(
+        st.tuples(st.sampled_from("EF"), index),
+        st.tuples(st.just("K"), index, st.sampled_from([1, -1])))
+    word = st.lists(letter, max_size=2).map(tuple)
+    coeff = st.builds(
+        lambda n, a: n * q_power(Fraction(a, 2), arity),
+        st.integers(-3, 3).filter(bool), st.integers(-2, 2))
+    # few right words, so that entries share them
+    rights = draw(st.lists(word, min_size=1, max_size=2))
+    te: dict = {}
+    for _ in range(draw(st.integers(1, 4))):
+        te = vec_add(te, {(draw(word), draw(st.sampled_from(rights))):
+                          draw(coeff)})
+    if draw(st.booleans()):
+        # a relation's coproduct: its left sums cancel on most states
+        relations = list(defining_relations(tctx.datum, arity))
+        _, rel = draw(st.sampled_from(relations))
+        te = vec_add(te, vec_scale(draw(coeff),
+                                   coproduct_element(tctx.datum, rel, arity)))
+    seq = st.lists(index, max_size=2).map(tuple)
+    tv: dict = {}
+    for _ in range(draw(st.integers(1, 3))):
+        tv = vec_add(tv, {(draw(seq), draw(seq)): draw(coeff)})
+    return tctx, te, tv
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_cases())
+def test_tensor_element_matches_its_word_pairs(case):
+    tctx, te, tv = case
+    before_te, before_tv = dict(te), dict(tv)
+    expected = by_word_pairs(tctx, te, tv)
+    first = act_tensor_element(tctx, te, tv)
+    second = act_tensor_element(tctx, te, tv)  # every left sum is a hit
+    assert vec_eq(first, expected)
+    assert vec_eq(second, expected)
+    assert (te, tv) == (before_te, before_tv)
+
+
+def test_left_sums_follow_the_coefficients():
+    tctx = TensorContext(datum=CATALOG["sl2_1"], depth=4)
+    arity = tctx.arity
+    e1f2, f1, k2 = parse_word("E1 F2"), parse_word("F1"), parse_word("K2")
+    tv = vec_add(tensor_state(tctx, (1, 0), (1,)),
+                 vec_scale(q_power(2, arity), tensor_state(tctx, (0,), ())))
+
+    def check(te):
+        got = act_tensor_element(tctx, te, tv)
+        assert vec_eq(got, by_word_pairs(tctx, te, tv))
+        assert render_tensor_vector(got) == render_tensor_vector(
+            act_tensor_element(TensorContext(datum=tctx.datum, depth=4), te, tv))
+        return got
+
+    # the same words under other coefficients
+    first = check({(e1f2, k2): q_power(1, arity), (f1, k2): q_power(-1, arity)})
+    assert not vec_eq(check({(e1f2, k2): q_power(1, arity),
+                             (f1, k2): q_power(1, arity)}), first)
+    # each coefficient dropped after its call: CPython hands a freed
+    # coefficient's id to the next one, which the memo must not mistake
+    # for the old coefficient
+    k1 = parse_word("K1")
+    for n in range(20):
+        coeff = PhaseScalar.from_rational(n + 2, arity)
+        expected = {key: coeff * c
+                    for key, c in act_word_pair(tctx, k1, k2, tv).items()}
+        assert vec_eq(act_tensor_element(tctx, {(k1, k2): coeff}, tv),
+                      expected)
+        del coeff, expected
+    # one element mutated between calls
+    te = {(e1f2, k2): q_power(1, arity), (f1, k2): q_power(-1, arity)}
+    check(te)
+    te[(f1, k2)] = -q_power(-1, arity)
+    assert not vec_eq(check(te), first)
+    te[((), k2)] = PhaseScalar.one(arity)
+    check(te)
+    del te[(e1f2, k2)]
+    check(te)
+    # the same coefficient objects, in the same order, under other words
+    te[(f1, ())] = te.pop((f1, k2))
+    te[((), ())] = te.pop(((), k2))
+    check(te)

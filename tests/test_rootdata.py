@@ -1,4 +1,5 @@
 import json
+import signal
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from qscreen.cli import parse_weight
 from qscreen.rootdata import (
     CATALOG,
+    MAX_INPUT_BITS,
     ConfigError,
     RootDatum,
     Weight,
     datum_from_config,
     datum_to_config,
+    input_rational,
     load_datum,
     resolve_algebra,
 )
@@ -229,3 +232,55 @@ def test_root_data_and_weights_hold_one_number_format(datum, data):
         assert inner == sum(Fraction(cj) * datum.gram[j][k] * ck
                             for j, cj in enumerate(coords)
                             for k, ck in enumerate(coords))
+
+
+def _read_or_time_out(text, seconds=1.0):
+    """`input_rational` under an alarm: a read that expands a long decimal
+    exponent fails the test with TimeoutError instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"reading {text!r} did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return input_rational(text)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_decimal_exponent_is_sized_before_it_is_expanded():
+    # Fraction alone takes seconds and megabytes on the long exponents
+    for text in ("1e1000000", "1e10000000", "-3.5E10000000",
+                 "1e-10000000", "0.7e-1000000", "1e20", "1e-64"):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_INPUT_BITS} bits"):
+            _read_or_time_out(text)
+    for text, value in (("0e10000000", 0), ("-0.00e-10000000", 0),
+                        ("100e-2", 1), ("1e19", 10 ** 19), ("1_000e-3", 1),
+                        ("25e-2", Fraction(1, 4)), (".5e1", 5),
+                        ("1" + "0" * 70 + "e-70", 1),
+                        ("1e-19", Fraction(1, 10 ** 19))):
+        assert _read_or_time_out(text) == value
+    with pytest.raises(ValueError, match="Invalid literal"):
+        _read_or_time_out("0e1000000x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "-", "+"]), st.text("0123456789", max_size=4),
+       st.text("0123456789", max_size=4), st.booleans(),
+       st.integers(-90, 90))
+def test_decimal_exponent_refuses_exactly_the_values_past_the_bound(
+        sign, whole, frac, point, exp):
+    text = f"{sign}{whole}{'.' + frac if point else ''}e{exp}"
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            input_rational(text)
+        return
+    if max(abs(expected.numerator).bit_length(),
+           expected.denominator.bit_length()) > MAX_INPUT_BITS:
+        with pytest.raises(ValueError, match="exceeds"):
+            input_rational(text)
+    else:
+        assert input_rational(text) == expected
