@@ -396,31 +396,39 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `qscreen` parser, with every subcommand registered.
-
-    Only `command`'s arguments are built when it names a subcommand;
-    otherwise, as with no argument, all four subcommands' are.  A parse
-    that enters a subcommand reads only that subcommand's arguments, and
-    the top-level help and errors list the subcommands by name and help
-    line alone, so a parser built for one subcommand parses, helps and
-    fails on its argv exactly as the full parser does, for less set-up.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The `qscreen` parser, with all four subcommands."""
     parser = Parser(
         prog="qscreen",
         description="exact contour representation of deformed enveloping "
                     "superalgebras: identity verification and singular-vector scans")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_args) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command not in SUBCOMMANDS or command == name:
-            add_args(p)
+        add_args(sub.add_parser(name, help=help_line))
+    return parser
+
+
+def subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, for the argv after its name.
+
+    The full parser hands every token after a subcommand's name to a
+    subparser built as this one is (`add_parser` gives it this class and
+    prog), and reports what that subparser leaves over in the same words.
+    The top level's own help and errors arise only before a subcommand is
+    named, so this parser parses, helps and fails on that argv exactly as
+    the full parser does, for less set-up.
+    """
+    parser = Parser(prog=f"qscreen {name}")
+    SUBCOMMANDS[name][1](parser)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        args = subcommand_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         if args.format not in FORMATS:  # argparse leaves defaults unchecked
             raise UsageError(f"QSCREEN_FORMAT must be one of text|json, "

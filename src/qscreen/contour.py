@@ -9,7 +9,7 @@ phase-scalar coefficients:
     the whole configuration (so it prepends to the sequence);
   * the Cartan operator K_j scales a state by q^{-sum_i n_ij} z_j^{-1}, where
     n_ij are Gram entries and z_j is the weight phase of root j; that
-    factor is one monomial, built by `ModuleContext.qz`;
+    factor is one monomial, `ModuleContext.qz`;
   * the raising operator first removes one contour of type j wherever the
     sequence allows (the hatted part below), then applies K_j.
 
@@ -24,10 +24,8 @@ product over the contours *outside* position l,
 
 whose sign keeps track of odd contours passing odd contours.  The product
 is a signed power of q, so `apply_raising_hat` carries it as a plain
-(exponent, sign) pair.  The removal factor, crossing times bracket,
-depends only on the context and (j, whether the bracket's denominator is
-cleared, sign, exponent, inner Gram sum), so each context builds it once
-per such key and each coefficient is multiplied by it once.
+(exponent, sign) pair and applies it to the bracket as a signed q-shift
+(`PhaseScalar.q_shift`).
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.  A
@@ -36,18 +34,28 @@ that cancel, `vec_scale` returns {} for a zero factor, and a product of
 nonzero scalars is nonzero.  So {} is the zero vector, and `vec_eq`
 compares keys, then coefficients.
 
-Each `ModuleContext` owns two memos.  One holds images, read through
-`word_image`: the image of the unit state at a basis state under a word,
-one per (word, state).  The other holds the removal factors of
-`apply_raising_hat`.  Both live and die with that one instance, whose
-fields (weight, depth, faults) fix every image and factor.
-`apply_letter` (and so `apply_word`) reads the image memo for E_j and
-K_j^{+-1}; the tensor sweep of `hopf` reads it for the words of its
-coproduct terms.  `apply_letter` does not memoize F_j: it is a plain
-prepend, cheaper than a lookup, and it must raise `DepthExceededError` on
-every overflow.  `apply_raising_hat` and `apply_raising` act on every
-call, reading only the factor memo, so the scanner and the closed-form
-coproduct check never read the image memo.
+Each `ModuleContext` owns four memos.  Each is keyed by everything its
+values depend on besides the context's fields, which fix the rest:
+
+  * images, read through `word_image`: the image of the unit state at a
+    basis state under a word, one per (word, state);
+  * removal factors of `apply_raising_hat`, crossing times bracket, one per
+    (j, clear_denominator, sign, exponent, inner Gram sum);
+  * brackets, one per (j, clear_denominator, inner Gram sum), from which a
+    factor missing from its memo is built with no division;
+  * Cartan factors of `apply_cartan`, one per (j, sign, exponent).
+
+A memo lives and dies with its one instance: `dataclasses.replace` starts
+empty ones, so a clean sweep never leaks into a negative control.  A
+memoized value is a scalar, never mutated, or an image that callers read
+and never hand out.  `apply_letter` (and so `apply_word`) reads the image
+memo for E_j and K_j^{+-1}; the tensor sweep of `hopf` reads it for the
+words of its coproduct terms.  `apply_letter` does not memoize F_j: it is
+a plain prepend, cheaper than a lookup, and it must raise
+`DepthExceededError` on every overflow.  `apply_raising_hat`,
+`apply_raising` and `apply_cartan` act on every call, reading only the
+scalar memos, so the scanner and the closed-form coproduct check never
+read the image memo.
 """
 
 from __future__ import annotations
@@ -118,6 +126,12 @@ class ModuleContext:
     # `apply_raising_hat`.
     _factors: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
+    # (j, clear_denominator, inner) -> bracket; see `bracket`.
+    _brackets: dict = field(default_factory=dict, init=False, compare=False,
+                            hash=False, repr=False)
+    # (j, sign, exp) -> Cartan factor; see `apply_cartan`.
+    _cartans: dict = field(default_factory=dict, init=False, compare=False,
+                           hash=False, repr=False)
 
     def __post_init__(self):
         if self.arity == -1:
@@ -146,13 +160,34 @@ class ModuleContext:
     @cached_property
     def pairings(self) -> tuple[Rational, ...]:
         """alpha_j . lambda for each simple root j, at a concrete weight;
-        computed once per context, as `qz` reads one per call."""
+        computed once per context."""
         return tuple(self.weight.root_pairing(self.datum, j)
                      for j in range(self.datum.rank))
 
     def bracket_denominator(self, j: int) -> PhaseScalar:
         d = self.datum.symmetrizer(j)
         return self.q(d) - self.q(-d)
+
+    @cached_property
+    def bracket_inverses(self) -> tuple[PhaseScalar, ...]:
+        """1/(q_j - q_j^{-1}) for each simple root j; computed once per
+        context."""
+        return tuple(self.bracket_denominator(j).invert()
+                     for j in range(self.datum.rank))
+
+    def bracket(self, j: int, clear_denominator: bool,
+                inner: Rational) -> PhaseScalar:
+        """The deformation bracket (1 - q^{2 inner} z_j^2)/(q_j - q_j^{-1}),
+        or its numerator alone with clear_denominator; memoized per context
+        and (j, clear_denominator, inner)."""
+        key = (j, clear_denominator, inner)
+        out = self._brackets.get(key)
+        if out is None:
+            out = 1 - self.qz(2 * inner, j, 2)
+            if not clear_denominator:
+                out = out * self.bracket_inverses[j]
+            self._brackets[key] = out
+        return out
 
     def crossing_factor(self, j: int, i: int) -> tuple[Rational, int]:
         """Cost of sliding a type-j raising excision past one contour i, as
@@ -227,11 +262,16 @@ def apply_lowering(ctx: ModuleContext, j: int, v: Vector) -> Vector:
 
 def apply_cartan(ctx: ModuleContext, j: int, v: Vector, sign: int = 1) -> Vector:
     """K_j^{sign}: diagonal in the contour basis; each state's factor
-    q^{-sign sum_i n_ij} z_j^{-sign} is one monomial (`ModuleContext.qz`)."""
+    q^{-sign sum_i n_ij} z_j^{-sign} is one monomial (`ModuleContext.qz`),
+    memoized per context and (j, sign, exponent)."""
+    factors = ctx._cartans
     out: Vector = {}
     for seq, c in v.items():
         exp = -sum(ctx.datum.pair(j, i) for i in seq)
-        out[seq] = c * ctx.qz(sign * exp, j, -sign)
+        factor = factors.get((j, sign, exp))
+        if factor is None:
+            factor = factors[(j, sign, exp)] = ctx.qz(sign * exp, j, -sign)
+        out[seq] = c * factor
     return out
 
 
@@ -245,26 +285,31 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
 
     The removal factor crossing * bracket depends on the context and on
     (j, clear_denominator, sign, exponent, inner) only, so the context
-    memoizes it: it is built once per context and key, and each
-    coefficient is multiplied by it once.
+    memoizes it, and each coefficient is multiplied by it once.  A factor
+    missing from that memo is the memoized `ModuleContext.bracket` shifted
+    by the crossing's signed power of q.
     """
     factors = ctx._factors
+    pair = ctx.datum.pair
     out: Vector = {}
     for seq, c in v.items():
+        # the inner Gram sum at each position, in one pass from the inside
+        inner, inners = 0, []
+        for i in reversed(seq):
+            inners.append(inner)
+            inner += pair(j, i)
+        inners.reverse()
         # the crossing product over the contours outside position l
         exp, sign = 0, 1
         for l, i in enumerate(seq):
             if i == j:
-                inner = sum(ctx.datum.pair(j, ip) for ip in seq[l + 1:])
-                key = (j, clear_denominator, sign, exp, inner)
+                key = (j, clear_denominator, sign, exp, inners[l])
                 factor = factors.get(key)
                 if factor is None:
-                    denom = (PhaseScalar.one(ctx.arity) if clear_denominator
-                             else ctx.bracket_denominator(j))
-                    bracket = (1 - ctx.qz(2 * inner, j, 2)) / denom
-                    crossing = PhaseScalar.monomial(sign, exp, (0,) * ctx.arity,
-                                                    ctx.arity)
-                    factor = factors[key] = crossing * bracket
+                    factor = ctx.bracket(j, clear_denominator, inners[l])
+                    if exp or sign != 1:
+                        factor = factor.q_shift(sign, exp)
+                    factors[key] = factor
                 accumulate(out, [(seq[:l] + seq[l + 1:], c * factor)])
             e, s = ctx.crossing_factor(j, i)
             exp += e

@@ -50,13 +50,17 @@ the other operand when one side is 1 (a one-term numerator equal to its
 one-term denominator, which `__init__` keeps exactly 1), and `__add__`
 returns the other operand when one side is 0; both check the arities
 first.  Returning an operand as it is is safe because scalars are never
-mutated after construction.  Otherwise `_pmul` computes a monomial times
-a sum by shifting the sum's keys, which cannot merge or cancel, and
-`__mul__` does not multiply two unit denominators.  Sums and products are
-built through `PhaseScalar._of`, which skips the strip and the unit fold
-that the public constructor applies to outside input: `_padd` and `_pmul`
-store no zero, and a one-term denominator is always exactly 1, the same
-sum over every step.
+mutated after construction.  For the same reason `PhaseScalar.one`
+hands out one shared unit per arity: no operation writes to an operand's
+`num` or `den`, so every holder may share it.  Otherwise `_pmul` computes
+a monomial times a sum by shifting the sum's keys, which cannot merge or
+cancel, and `__mul__` does not multiply two unit denominators.  A longer
+product runs its outer loop over the shorter sum, and a z-free outer
+term, such as the constant term of every removal factor, keeps the inner
+term's z-tuple.  Sums and products are built through `PhaseScalar._of`,
+which skips the strip and the unit fold that the public constructor
+applies to outside input: `_padd` and `_pmul` store no zero, and a
+one-term denominator is always exactly 1, the same sum over every step.
 
 The number of z slots (the arity) is fixed per computation: single modules
 use one slot per simple root, tensor squares use two.  Mixing arities is an
@@ -276,12 +280,19 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
         if a0 == 0 and c0 == 1:
             return dict(p2)
         return {(a + a0, m): c * c0 for (a, m), c in p2.items()}
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
     out: Poly = {}
     get = out.get
     for (a1, m1), c1 in p1.items():
-        for (a2, m2), c2 in p2.items():
-            k = (a1 + a2, tuple(map(add, m1, m2)))
-            out[k] = get(k, 0) + c1 * c2
+        if any(m1):
+            for (a2, m2), c2 in p2.items():
+                k = (a1 + a2, tuple(map(add, m1, m2)))
+                out[k] = get(k, 0) + c1 * c2
+        else:
+            for (a2, m2), c2 in p2.items():
+                k = (a1 + a2, m2)
+                out[k] = get(k, 0) + c1 * c2
     return _strip(out)
 
 
@@ -434,7 +445,11 @@ class PhaseScalar:
 
     @classmethod
     def one(cls, arity: int) -> "PhaseScalar":
-        return cls.from_rational(1, arity)
+        """The unit of this arity: one shared instance per arity."""
+        unit = _UNITS.get(arity)
+        if unit is None:
+            unit = _UNITS[arity] = cls.from_rational(1, arity)
+        return unit
 
     @classmethod
     def from_rational(cls, c: Rational, arity: int) -> "PhaseScalar":
@@ -522,6 +537,18 @@ class PhaseScalar:
                                self.step)
 
     __rmul__ = __mul__
+
+    def q_shift(self, sign: int, a: Rational) -> "PhaseScalar":
+        """sign·q^a times this value, for sign ±1: the numerator's keys
+        shifted by a and its coefficients times sign, with no product of
+        sums.  Stores what `*` by that monomial stores, unless this value is
+        the exact unit, for which `*` returns the monomial itself."""
+        a = rational(a)
+        x = self._at(lcm(self.step, a.denominator))
+        shift = a.numerator * (x.step // a.denominator)
+        return PhaseScalar._of({(e + shift, m): sign * c
+                                for (e, m), c in x.num.items()},
+                               x.den, x.arity, x.step)
 
     def invert(self) -> "PhaseScalar":
         if self.is_zero():
@@ -638,6 +665,10 @@ class PhaseScalar:
 
     def __repr__(self) -> str:
         return f"PhaseScalar({self.render()!r}, arity={self.arity})"
+
+
+# arity -> the shared unit; see `PhaseScalar.one`.
+_UNITS: dict[int, PhaseScalar] = {}
 
 
 def render_poly(p: Poly, step: int) -> str:

@@ -697,30 +697,34 @@ def test_serre_scan_exits_one_on_nonzero_specialized_residual(capsys,
     assert out.endswith("specialized at (1,7): residual-nonzero\n")
 
 
+COMMON_OPTIONS = ["--algebra", "--config", "--format", "--help",
+                  "--inject-fault", "--output", "-h"]
+OPTION_SURFACE = {
+    "verify": sorted(COMMON_OPTIONS + ["--depth", "--force-depth", "--suite",
+                                       "--weight", "--weight2", "--workers"]),
+    "act": sorted(COMMON_OPTIONS + ["--depth", "--force-depth", "--word",
+                                    "--start", "--weight"]),
+    "serre-scan": sorted(COMMON_OPTIONS + ["--force-depth", "--multidegree",
+                                           "--weight", "--specialize"]),
+    "braid": sorted(COMMON_OPTIONS + ["--weight1", "--weight2", "--seq1",
+                                      "--seq2"]),
+}
+
+
+def options(parser):
+    return sorted(s for action in parser._actions for s in action.option_strings)
+
+
 def test_option_surface_is_pinned():
     """Every option string each subcommand accepts, so a new option shows
     up here as a test diff.  `serre-scan` takes no `--depth`, and `braid`
     neither `--depth` nor `--force-depth`: each would be ignored."""
     parser = build_parser()
-
-    def options(p):
-        return sorted(s for action in p._actions for s in action.option_strings)
-
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
-    common = ["--algebra", "--config", "--format", "--help", "--inject-fault",
-              "--output", "-h"]
     assert options(parser) == ["--help", "-h"]
-    assert {name: options(p) for name, p in sub.choices.items()} == {
-        "verify": sorted(common + ["--depth", "--force-depth", "--suite",
-                                   "--weight", "--weight2", "--workers"]),
-        "act": sorted(common + ["--depth", "--force-depth", "--word",
-                                "--start", "--weight"]),
-        "serre-scan": sorted(common + ["--force-depth", "--multidegree",
-                                       "--weight", "--specialize"]),
-        "braid": sorted(common + ["--weight1", "--weight2", "--seq1",
-                                  "--seq2"]),
-    }
+    assert {name: options(p) for name, p in sub.choices.items()} == \
+        OPTION_SURFACE
 
 
 PARSE_ONLY = [
@@ -728,6 +732,12 @@ PARSE_ONLY = [
     ["verify", "--help"], ["act", "--help"], ["serre-scan", "--help"],
     ["braid", "--help"],
     ["act"], ["serre-scan", "--algebra", "sl3"], ["braid", "--weight1", "1"],
+    ["verify", "--algebra", "sl2", "--bogus"],
+    ["serre-scan", "--multi", "2,1", "--depth", "2"],
+    ["verify", "--format", "xml"],
+    ["verify", "--workers", "two"],
+    ["serre-scan", "--algebra", "sl2", "--multidegree", "2", "--specialize"],
+    ["act", "--algebra", "sl2", "--start", "1"],
 ]
 
 
@@ -747,23 +757,30 @@ def test_main_parses_like_the_full_parser(capsys, argv):
     assert expected.out or expected.err
 
 
-def test_main_builds_no_other_subcommand(capsys, monkeypatch):
+def test_main_builds_one_parser_for_a_subcommand(capsys, monkeypatch):
+    """A subcommand argv costs one parser: that subcommand's, with its row
+    of the pinned option surface."""
     from qscreen import cli
 
-    build, built = cli.build_parser, []
+    built = []
 
-    def spy(command=None):
-        built.append(build(command))
-        return built[-1]
+    class Spy(cli.Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
-    assert main(["serre-scan", "--algebra", "sl2", "--multidegree", "2"]) == 0
-    capsys.readouterr()
-    (sub,) = [a for a in built[0]._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    sizes = {name: len(p._actions) for name, p in sub.choices.items()}
-    assert sizes.pop("serre-scan") > 1
-    assert sizes == {"verify": 1, "act": 1, "braid": 1}  # --help alone
+    monkeypatch.setattr(cli, "Parser", Spy)
+    for argv in (["verify", "--algebra", "sl2", "--depth", "1"],
+                 ["act", "--algebra", "sl2", "--word", "K1"],
+                 ["serre-scan", "--algebra", "sl2", "--multidegree", "2"],
+                 ["braid", "--algebra", "sl2", "--weight1", "1",
+                  "--weight2", "1"]):
+        built.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        (parser,) = built
+        assert parser.prog == f"qscreen {argv[0]}"
+        assert options(parser) == OPTION_SURFACE[argv[0]]
 
 
 def readme_examples() -> list[list[str]]:

@@ -1,8 +1,9 @@
 """The per-context memos: generator images in `contour.apply_letter`,
-removal factors in `contour.apply_raising_hat`, factor images in
-`hopf.act_word_pair` and signed left sums in `hopf.act_tensor_element`.
+removal factors and brackets in `contour.apply_raising_hat`, Cartan
+factors in `contour.apply_cartan`, factor images in `hopf.act_word_pair`
+and signed left sums in `hopf.act_tensor_element`.
 
-`apply_word`, `apply_raising_hat`, `act_word_pair` and
+`apply_word`, `apply_raising_hat`, `apply_cartan`, `act_word_pair` and
 `act_tensor_element` must agree with uncached or fresh computation however
 the memo is warmed, must never hand out a memoized dict, and must stay
 scoped to one context, so that a clean sweep cannot leak images into a
@@ -10,6 +11,7 @@ negative control.  A left sum must never be served for other coefficients
 than those it was built from.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -341,6 +343,54 @@ def test_factor_memo_is_scoped_to_one_context():
     fresh = ModuleContext(datum=datum)
     assert clean == fresh and hash(clean) == hash(fresh)
     assert repr(clean) == repr(fresh)
+
+
+def _stored(v):
+    return {seq: (c.num, c.den, c.step) for seq, c in v.items()}
+
+
+SCALAR_MEMO_WEIGHTS = [Weight.generic(), Weight.concrete([1, 2]),
+                       Weight.concrete([Fraction(-7, 2), Fraction(-5, 3)])]
+
+
+@pytest.mark.parametrize("name", ["sl3", "sl2_1"])
+@pytest.mark.parametrize("weight", SCALAR_MEMO_WEIGHTS,
+                         ids=lambda w: w.label)
+@pytest.mark.parametrize("fault", FAULTS)
+def test_scalar_memos_match_fresh_contexts(name, weight, fault):
+    """On one shared context, every removal and Cartan factor, whether
+    built or read from its memo, stores what a fresh context stores.  The
+    states reach each bracket under several crossings (sign, exponent),
+    which both crossing faults change."""
+    datum = CATALOG[name]
+    faults = FaultInjection(**{fault: True}) if fault else FaultInjection()
+
+    def fresh():
+        return ModuleContext(datum=datum, weight=weight, faults=faults)
+
+    shared = fresh()
+    coeff = (1 - q_power(Fraction(1, 2), shared.arity)) * q_power(-1, shared.arity)
+    seqs = [seq for n in range(5)
+            for seq in itertools.product(range(datum.rank), repeat=n)]
+    for seq in seqs:
+        for j in range(datum.rank):
+            v = {seq: coeff}
+            for clear in (False, True):
+                got = apply_raising_hat(shared, j, v, clear_denominator=clear)
+                assert _stored(got) == _stored(apply_raising_hat(
+                    fresh(), j, v, clear_denominator=clear))
+            for sign in (1, -1):
+                assert _stored(apply_cartan(shared, j, v, sign=sign)) == \
+                    _stored(apply_cartan(fresh(), j, v, sign=sign))
+    crossings: dict = {}
+    for j, clear, sign, exp, inner in shared._factors:
+        crossings.setdefault((j, clear, inner), set()).add((sign, exp))
+    assert set(crossings) == set(shared._brackets)
+    assert max(map(len, crossings.values())) > 1
+    assert {key[1] for key in shared._cartans} == {1, -1}
+    moved = replace(shared, weight=Weight.concrete([2, 1]))
+    assert not (moved._factors or moved._brackets or moved._cartans
+                or moved._images)
 
 
 # ---- signed left sums of tensor elements ----

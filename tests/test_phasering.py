@@ -16,6 +16,7 @@ from qscreen.phase import (
     PhaseScalar,
     _padd,
     _pdiv_exact,
+    _pneg,
     _pmul,
     q_number,
     q_power,
@@ -513,23 +514,99 @@ def _pmul_reference(p1, p2):
 
 
 @st.composite
+def crowded_sums(draw, arity):
+    """Sums of 0-8 terms on few keys, so that products merge and cancel:
+    z-free and z-carrying terms, int and Fraction coefficients of both
+    signs."""
+    z_free = (0,) * arity
+    m = st.one_of(st.just(z_free), st.tuples(*[st.integers(-1, 1)] * arity))
+    key = st.tuples(st.integers(-2, 2), m)
+    c = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return draw(st.dictionaries(key, c, min_size=0, max_size=8))
+
+
+@st.composite
 def pmul_operands(draw):
     arity = draw(st.integers(0, 2))
     monomial, many = _mixed_sums(arity, 1, 1), _mixed_sums(arity, 0, 4)
-    shape = draw(st.sampled_from(["1xn", "nx1", "nxn"]))
+    shape = draw(st.sampled_from(["1xn", "nx1", "nxn", "crowded"]))
+    if shape == "crowded":
+        return draw(crowded_sums(arity)), draw(crowded_sums(arity))
     return (draw(monomial if shape == "1xn" else many),
             draw(monomial if shape == "nx1" else many))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(pmul_operands())
 def test_pmul_matches_the_double_loop(operands):
+    """In both operand orders, whichever one the general case iterates."""
     p1, p2 = operands
     before = (dict(p1), dict(p2))
     product = _pmul(p1, p2)
     assert product == _pmul_reference(p1, p2)
+    assert _pmul(p2, p1) == product
     assert all(c != 0 for c in product.values())
     assert (p1, p2) == before
+
+
+def test_pmul_drops_the_terms_that_cancel():
+    z, q = {(0, (1,)): 1}, {(1, (0,)): 1}
+    one, q_inv = {(0, (0,)): 1}, {(-1, (0,)): 1}
+    for a, b, product in (
+            (_padd(one, z), _padd(one, _pneg(z)),
+             {(0, (0,)): 1, (0, (2,)): -1}),
+            (_padd(q, _pneg(q_inv)), _padd(q, q_inv),
+             {(2, (0,)): 1, (-2, (0,)): -1}),
+            (_padd(q, z), _padd(_pneg(q), z), {(2, (0,)): -1, (0, (2,)): 1})):
+        assert _pmul(a, b) == _pmul(b, a) == product
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2).flatmap(scalars), st.sampled_from([1, -1]), q_exps)
+def test_q_shift_stores_what_the_monomial_product_stores(a, sign, e):
+    shifted = a.q_shift(sign, e)
+    product = PhaseScalar.monomial(sign, e, (0,) * a.arity, a.arity) * a
+    assert shifted == product
+    if not (len(a.den) == 1 and a.num == a.den):  # `*` returns the monomial
+        assert (shifted.num, shifted.den, shifted.step) == \
+            (product.num, product.den, product.step)
+    _assert_canonical(shifted)
+
+
+def _snapshot(x):
+    return (dict(x.num), dict(x.den), x.arity, x.step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    scalars(n), scalars(n), st.lists(q_exps, min_size=n, max_size=n))))
+def test_no_operation_mutates_an_operand(case):
+    """Scalars are shared, the unit of each arity above all, so no
+    operation may write to an operand's num or den."""
+    a, b, exps = case
+    one = PhaseScalar.one(a.arity)
+    assert PhaseScalar.one(a.arity) is one
+    operands = (a, b, one)
+    before = [_snapshot(x) for x in operands]
+    for x in operands:
+        for y in operands:
+            for op in (operator.add, operator.sub, operator.mul, operator.eq):
+                op(x, y)
+            if not y.is_zero():
+                x / y
+        if not x.is_zero():
+            x.invert()
+        x._at(2 * x.step)
+        x.q_shift(-1, Fraction(1, 3))
+        x.reduce_exact()
+        x.render(wrap=True)
+        try:
+            x.substitute_z(exps)
+        except DenominatorVanishesError:
+            pass
+    assert [_snapshot(x) for x in operands] == before
+    assert one == 1 and _snapshot(one) == ({(0, (0,) * a.arity): 1},
+                                           {(0, (0,) * a.arity): 1}, a.arity, 1)
 
 
 def _assert_canonical(x):
