@@ -41,8 +41,9 @@ values depend on besides the context's fields, which fix the rest:
     basis state under a word, one per (word, state);
   * removal factors of `apply_raising_hat`, crossing times bracket, one per
     (j, clear_denominator, sign, exponent, inner Gram sum);
-  * brackets, one per (j, clear_denominator, inner Gram sum), from which a
-    factor missing from its memo is built with no division;
+  * brackets, one per (j, clear_denominator, inner Gram sum), each built
+    from its two keys, with no product and no division; a factor missing
+    from its memo is its bracket with the crossing applied as a q-shift;
   * Cartan factors of `apply_cartan`, one per (j, sign, exponent).
 
 A memo lives and dies with its one instance: `dataclasses.replace` starts
@@ -62,9 +63,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import lcm
 from typing import Hashable, Iterable
 
-from .phase import PhaseScalar, Rational, q_power
+from .phase import PhaseScalar, Rational, q_power, rational
 from .rootdata import RootDatum, Weight
 
 # A basis state: tuple of 0-based simple-root indices, outermost first.
@@ -168,25 +170,45 @@ class ModuleContext:
         d = self.datum.symmetrizer(j)
         return self.q(d) - self.q(-d)
 
-    @cached_property
-    def bracket_inverses(self) -> tuple[PhaseScalar, ...]:
-        """1/(q_j - q_j^{-1}) for each simple root j; computed once per
-        context."""
-        return tuple(self.bracket_denominator(j).invert()
-                     for j in range(self.datum.rank))
-
     def bracket(self, j: int, clear_denominator: bool,
                 inner: Rational) -> PhaseScalar:
         """The deformation bracket (1 - q^{2 inner} z_j^2)/(q_j - q_j^{-1}),
         or its numerator alone with clear_denominator; memoized per context
-        and (j, clear_denominator, inner)."""
+        and (j, clear_denominator, inner).
+
+        A miss writes the value from its two keys, with no product and no
+        division: the numerator 1 - q^e z_j^2 with e = 2 inner (at a
+        concrete weight z_j^2 is a power of q, so the numerator is 1 - q^e
+        with e = 2 inner - 2 alpha_j . lambda, and 0 when that e is 0),
+        over q^{d_j} - q^{-d_j}, or over 1 with clear_denominator, at the
+        least step that makes the exponents ints.  So it stores the num,
+        den and step that `(1 - qz(2 inner, j, 2)) / bracket_denominator(j)`
+        stores.
+        """
         key = (j, clear_denominator, inner)
         out = self._brackets.get(key)
-        if out is None:
-            out = 1 - self.qz(2 * inner, j, 2)
-            if not clear_denominator:
-                out = out * self.bracket_inverses[j]
-            self._brackets[key] = out
+        if out is not None:
+            return out
+        zeros = (0,) * self.arity
+        if self.weight.is_generic:
+            e = rational(2 * inner)
+            k = self.z_offset + j
+            m = zeros[:k] + (2,) + zeros[k + 1:]
+        else:
+            e = rational(2 * inner - 2 * self.pairings[j])
+            m = zeros
+        d = self.datum.symmetrizer(j)
+        step = (e.denominator if clear_denominator
+                else lcm(e.denominator, d.denominator))
+        num = ({(e.numerator * (step // e.denominator), m): -1, (0, zeros): 1}
+               if e or any(m) else {})
+        if clear_denominator or not num:
+            den = {(0, zeros): 1}
+        else:
+            a = d.numerator * (step // d.denominator)
+            den = {(a, zeros): 1, (-a, zeros): -1}
+        out = self._brackets[key] = PhaseScalar._of(num, den, self.arity,
+                                                    step)
         return out
 
     def crossing_factor(self, j: int, i: int) -> tuple[Rational, int]:

@@ -482,16 +482,13 @@ def _unit_states(rank: int, depth: int, arity: int) -> list[tuple[str, Vector]]:
 
 def verify_relations(datum: RootDatum, depth: int = 4,
                      weight: Weight = Weight(None),
-                     faults: FaultInjection = NO_FAULTS,
-                     identity_filter=None) -> VerificationReport:
+                     faults: FaultInjection = NO_FAULTS) -> VerificationReport:
     """Check every defining relation on every contour state up to depth-1."""
     ctx = ModuleContext(datum=datum, weight=weight, depth=depth, faults=faults)
     report = VerificationReport("relations", datum.label, depth,
                                 weight_label(weight))
     states = _unit_states(datum.rank, depth, ctx.arity)
     for name, rel in defining_relations(datum, ctx.arity):
-        if identity_filter is not None and not identity_filter(name):
-            continue
         report.records.append(_sweep(name, (
             (basis, (act_algebra(ctx, rel, v),), {}) for basis, v in states)))
     return report

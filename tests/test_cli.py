@@ -1,9 +1,7 @@
 import argparse
-import concurrent.futures
 import importlib.util
 import json
 import os
-import pickle
 import re
 import shlex
 import subprocess
@@ -610,55 +608,40 @@ def test_verify_rejects_workers_below_one(capsys, workers):
     assert out == ""
 
 
-class InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        InlinePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, payloads):
-        # the round trip a real pool makes between processes
-        return [fn(pickle.loads(pickle.dumps(p))) for p in payloads]
-
-
-@pytest.mark.parametrize("workers, size", [("5000", 15), ("2", 2)])
-def test_verify_pool_has_at_most_one_worker_per_relation(capsys, monkeypatch,
-                                                         workers, size):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "sizes", [])
-    argv = ("verify", "--algebra", "sl3", "--suite", "relations", "--depth",
-            "3", "--format", "json", "--inject-fault", "flip_raising_prefactor")
-    serial = run(capsys, *argv)
-    pooled = run(capsys, *argv, "--workers", workers)
-    assert InlinePool.sizes == [size]
-    assert serial[0] == pooled[0] == 1
-    assert serial[1] == pooled[1]
-
-
-def test_verify_all_with_workers_matches_serial(capsys, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(InlinePool, "sizes", [])
+def test_verify_all_with_workers_matches_serial(capsys):
     argv = ("verify", "--algebra", "sl2_1", "--suite", "all", "--depth", "2",
             "--format", "json", "--inject-fault", "flip_raising_prefactor")
     serial = run(capsys, *argv)
-    pooled = run(capsys, *argv, "--workers", "2")
-    assert InlinePool.sizes == [2]
-    assert serial == pooled
-    suites = [rep["suite"] for rep in json.loads(pooled[1])["reports"]]
+    workers = run(capsys, *argv, "--workers", "2")
+    assert serial == workers
+    suites = [rep["suite"] for rep in json.loads(workers[1])["reports"]]
     assert suites == ["relations", "coproduct", "hopf-axioms"]
+
+
+def test_verify_with_workers_starts_no_process():
+    """A fresh `verify --workers 4` prints the serial report and imports
+    neither the process pool nor `multiprocessing` (`-X importtime` lists
+    every module the process imports on stderr)."""
+    argv = [sys.executable, "-X", "importtime", "-m", "qscreen.cli",
+            "verify", "--algebra", "sl3", "--suite", "relations", "--depth",
+            "3", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    serial = subprocess.run(argv, capture_output=True, text=True, env=env)
+    workers = subprocess.run(argv + ["--workers", "4"], capture_output=True,
+                             text=True, env=env)
+    assert serial.returncode == workers.returncode == 0
+    assert workers.stdout == serial.stdout
+    assert json.loads(workers.stdout)["status"] == "pass"
+    modules = [line.rpartition("|")[2].strip()
+               for line in workers.stderr.splitlines()]
+    assert "qscreen.hopf" in modules
+    assert [m for m in modules if m.startswith(
+        ("multiprocessing", "concurrent.futures.process"))] == []
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     """A fresh `import qscreen.cli` loads neither the process pool nor
-    `multiprocessing`: only `verify --workers N>1` imports them."""
+    `multiprocessing`."""
     probe = "import sys, qscreen.cli; print('\\n'.join(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,

@@ -14,6 +14,7 @@ than those it was built from.
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,8 +53,8 @@ from qscreen.hopf import (
     verify_coproduct,
     verify_relations,
 )
-from qscreen.phase import PhaseScalar, q_power
-from qscreen.rootdata import CATALOG, Weight
+from qscreen.phase import PhaseScalar, q_power, rational
+from qscreen.rootdata import CATALOG, Weight, load_datum
 
 FAULTS = (None, "drop_hat_parity", "drop_interchange_sign",
           "flip_raising_prefactor")
@@ -391,6 +392,49 @@ def test_scalar_memos_match_fresh_contexts(name, weight, fault):
     moved = replace(shared, weight=Weight.concrete([2, 1]))
     assert not (moved._factors or moved._brackets or moved._cartans
                 or moved._images)
+
+
+ALGEBRAS = Path(__file__).resolve().parent / "algebras"
+BRACKET_DATA = [CATALOG[name] for name in sorted(CATALOG)] + [
+    load_datum(str(path)) for path in sorted(ALGEBRAS.glob("*.json"))]
+
+
+def bracket_weights(rank: int) -> list[Weight]:
+    """Generic, integral, half and sixth weights of this rank."""
+    sixths = [Fraction(-7, 2), Fraction(-5, 3), Fraction(1, 6)]
+    return [Weight.generic(), Weight.concrete([2, -1, 3][:rank]),
+            Weight.concrete([Fraction(1, 2)] * rank),
+            Weight.concrete((sixths * rank)[:rank])]
+
+
+@pytest.mark.parametrize("datum", BRACKET_DATA, ids=lambda d: d.label)
+def test_brackets_store_the_formula(datum):
+    """`ModuleContext.bracket` writes its value from its keys; it stores
+    the num, den and step, in the same order, of the formula
+    (1 - qz(2 inner, j, 2)) / bracket_denominator(j), or of its numerator
+    with clear_denominator.  The inner sums include, at each concrete
+    weight, the one that makes the bracket zero."""
+    rank = datum.rank
+    inners = {rational(Fraction(n, 6)) for n in range(-24, 25)}
+    zeros = 0
+    for weight in bracket_weights(rank):
+        for arity, z_offset in ((rank, 0), (2 * rank, 0), (2 * rank, rank)):
+            ctx = ModuleContext(datum=datum, weight=weight, arity=arity,
+                                z_offset=z_offset)
+            for j, clear in itertools.product(range(rank), (False, True)):
+                vanishing = set() if weight.is_generic else {ctx.pairings[j]}
+                for inner in sorted(inners | vanishing):
+                    want = 1 - ctx.qz(2 * inner, j, 2)
+                    if not clear:
+                        want = want / ctx.bracket_denominator(j)
+                    got = ctx.bracket(j, clear, inner)
+                    assert ctx.bracket(j, clear, inner) is got
+                    assert (list(got.num.items()), list(got.den.items()),
+                            got.step, got.arity) == \
+                        (list(want.num.items()), list(want.den.items()),
+                         want.step, want.arity)
+                    zeros += got.is_zero()
+    assert zeros
 
 
 # ---- signed left sums of tensor elements ----
