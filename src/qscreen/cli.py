@@ -10,16 +10,25 @@ Subcommands:
 Exit codes: 0 all requested checks passed, 1 at least one identity failed,
 2 configuration or usage error.  Output is text or JSON (--format, or the
 QSCREEN_FORMAT environment variable).
+
+Import rule: at module level this module imports only what every
+subcommand needs (`contour`, `phase`, `rootdata`).  Each engine is imported
+inside the code that runs it: `hopf` in `cmd_verify`, `parallel_relations`
+and `cmd_braid`, `serre` in `cmd_serre_scan`, and `json` in `emit` for
+`--format json` only.  So a `serre-scan` or `act` process never loads
+`hopf`, and a `verify`, `act` or `braid` process never loads `serre`.  A
+call-time `from .hopf import run_suite` reads the module attribute on each
+call, so patching `qscreen.hopf.run_suite` reaches this module too.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from typing import Callable
+from math import factorial, prod
+from typing import TYPE_CHECKING, Callable
 
 from .contour import (
     DepthExceededError,
@@ -32,18 +41,21 @@ from .contour import (
     state,
     word_token,
 )
-from .hopf import (
-    VerificationReport,
-    braid_phase,
-    run_suite,
-    verify_relations,
-)
 from .rootdata import (ConfigError, RootDatum, Weight, input_rational,
-                       resolve_algebra)
-from .serre import residuals_vanish, singular_scan, specialize_scan
+                       load_datum, resolve_algebra)
 from .phase import DenominatorVanishesError
 
+if TYPE_CHECKING:
+    from .hopf import VerificationReport
+
 MAX_DEPTH = 12
+# Caps on the work itself, which grows faster than the depth; --force-depth
+# lifts them with the depth cap.  A verify sweep covers every contour state
+# below its depth, and a pair of them in the coproduct suite; a scan's
+# cost grows steeply with its column count (generic sl3 scans of 10, 15
+# and 20 columns take about 0.2, 12 and 60 s on one core).
+MAX_STATES = 4096
+MAX_COLUMNS = 12
 FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
 FORMATS = ("text", "json")
 
@@ -97,6 +109,34 @@ def check_depth(depth: int, force: bool) -> int:
     return depth
 
 
+def check_sweep(rank: int, depth: int, suite: str, force: bool) -> None:
+    """Refuse a verify sweep over more than MAX_STATES states (state pairs
+    for the coproduct suite) unless forced."""
+    if force:
+        return
+    count = sum(rank ** n for n in range(depth))
+    noun = "states"
+    if suite in ("coproduct", "all"):
+        count, noun = count * count, "state pairs"
+    if count > MAX_STATES:
+        raise UsageError(
+            f"--suite {suite} at depth {depth} sweeps {count} {noun}, over "
+            f"the cap of {MAX_STATES}; pass --force-depth if you mean it")
+
+
+def check_columns(multidegree: tuple[int, ...], force: bool) -> None:
+    """Refuse a scan of more than MAX_COLUMNS columns (the distinct words
+    of its multidegree) unless forced."""
+    if force:
+        return
+    columns = factorial(sum(multidegree)) // prod(map(factorial, multidegree))
+    if columns > MAX_COLUMNS:
+        raise UsageError(
+            f"multidegree {','.join(map(str, multidegree))} has {columns} "
+            f"columns, over the cap of {MAX_COLUMNS}; pass --force-depth if "
+            f"you mean it")
+
+
 def build_faults(names) -> FaultInjection:
     flags = {name: True for name in (names or [])}
     return FaultInjection(**flags)
@@ -122,6 +162,8 @@ def emit(payload, args, text_form: Callable[[], str]) -> None:
     """Write the report: `payload` as JSON, or the text that `text_form`
     renders, which only `--format text` calls for."""
     if args.format == "json":
+        import json
+
         out = json.dumps(payload, indent=2)
     else:
         out = text_form()
@@ -145,12 +187,17 @@ def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
     drops that span, `cmd_verify` can call `verify_relations` directly and
     this function can go.
     """
+    from .hopf import verify_relations
+
     return verify_relations(datum, depth, weight, faults)
 
 
 def cmd_verify(args) -> int:
+    from .hopf import run_suite
+
     datum = load_algebra(args)
     depth = check_depth(args.depth, args.force_depth)
+    check_sweep(datum.rank, depth, args.suite, args.force_depth)
     weight1 = parse_weight(args.weight, datum.rank)
     weight2 = parse_weight(args.weight2, datum.rank)
     faults = build_faults(args.inject_fault)
@@ -213,6 +260,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_serre_scan(args) -> int:
+    from .serre import residuals_vanish, singular_scan, specialize_scan
+
     datum = load_algebra(args)
     multidegree = parse_multidegree(args.multidegree)
     if len(multidegree) != datum.rank:
@@ -221,6 +270,7 @@ def cmd_serre_scan(args) -> int:
         raise UsageError(
             f"total degree {sum(multidegree)} exceeds {MAX_DEPTH}; "
             f"pass --force-depth if you mean it")
+    check_columns(multidegree, args.force_depth)
     weight = parse_weight(args.weight, datum.rank)
     points = [parse_weight(w, datum.rank) for w in args.specialize or ()]
     if any(w.is_generic for w in points):
@@ -243,6 +293,8 @@ def cmd_serre_scan(args) -> int:
 
 
 def cmd_braid(args) -> int:
+    from .hopf import braid_phase
+
     datum = load_algebra(args)
     w1 = parse_weight(args.weight1, datum.rank)
     w2 = parse_weight(args.weight2, datum.rank)
@@ -266,8 +318,6 @@ def cmd_braid(args) -> int:
 def load_algebra(args) -> RootDatum:
     try:
         if args.config:
-            from .rootdata import load_datum
-
             return load_datum(args.config)
         return resolve_algebra(args.algebra)
     except (ConfigError, OSError) as exc:

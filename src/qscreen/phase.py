@@ -299,16 +299,53 @@ def _pmul(p1: Poly, p2: Poly) -> Poly:
 def _pdiv_exact(n: Poly, d: Poly) -> Poly:
     """The quotient n / d, for a sum d that divides n; ValueError otherwise.
 
-    A one-term d divides term by term; otherwise `KeyPacking.divide` runs
-    on one plan for n and d.  A true quotient's exponents lie in
+    A one-term d divides term by term.  Otherwise `_indivisible` may
+    reject the pair at once, and `KeyPacking.divide` runs on one plan for
+    n and d.  A true quotient's exponents lie in
     [min n - max d, max n - min d], so a plan for two factors holds them.
     """
     if not d:
         raise ZeroDivisionError("exact division by the zero sum")
     if len(d) == 1:
         return _pdiv_term(n, *next(iter(d.items())))
+    if _indivisible(n, d):
+        raise ValueError("exact division: the divisor does not divide")
     plan = KeyPacking((n, d), len(next(iter(d))[1]), 2)
     return plan.unpack_poly(plan.divide(plan.pack_poly(n), plan.pack_poly(d)))
+
+
+def _indivisible(n: Poly, d: Poly) -> bool:
+    """True when d provably does not divide n; False proves nothing.
+
+    Only z-free sums with int coefficients are tested, as at a concrete
+    weight.  Read each as a polynomial in x = q^(1/step) after shifting
+    its least exponent to 0.  If n = d·Q, then Q is a polynomial with
+    k = span n - span d + 1 coefficients, and long division from the top
+    shows that c^k·Q has int coefficients, c the top coefficient of d.
+    So at x = 2^w, with 2^w above the sum of |d|'s coefficients, where
+    d(x) is nonzero, d(x) divides c^k·n(x): a nonzero remainder, or k < 1,
+    proves that no quotient exists.  The cost is one integer remainder,
+    where a failing long division runs up to its stop bound.
+    """
+    if not n:
+        return False
+    zero = (0,) * len(next(iter(d))[1])
+    for p in (n, d):
+        for (_, m), c in p.items():
+            if m != zero or type(c) is not int:
+                return False
+    an, ad = [a for a, _ in n], [a for a, _ in d]
+    lo_n, lo_d, hi_d = min(an), min(ad), max(ad)
+    k = (max(an) - lo_n) - (hi_d - lo_d) + 1
+    if k < 1:
+        return True
+    w = sum(map(abs, d.values())).bit_length()
+    at_d = at_n = 0
+    for (a, _), c in d.items():
+        at_d += c << (w * (a - lo_d))
+    for (a, _), c in n.items():
+        at_n += c << (w * (a - lo_n))
+    return pow(d[(hi_d, zero)], k, abs(at_d)) * at_n % at_d != 0
 
 
 def _aligned(x: PhaseScalar, y: PhaseScalar) -> tuple[PhaseScalar, ...]:

@@ -13,7 +13,6 @@ tokens) is 1-based; conversion happens only at those boundaries.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -249,6 +248,9 @@ def datum_to_config(datum: RootDatum) -> dict:
 
 
 def load_datum(path: str) -> RootDatum:
+    """The datum of a JSON config file; `json` loads for config files only."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)

@@ -165,13 +165,14 @@ def test_unwritable_output_exits_two(capsys, tmp_path, target):
 ], ids=lambda argv: argv[0])
 def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
                                                  tmp_path, argv):
-    from qscreen import cli
+    from qscreen import cli, hopf, serre
 
     def never(*args, **kwargs):
         raise AssertionError("ran before --output was checked")
 
-    for name in ("run_suite", "singular_scan", "apply_word"):
-        monkeypatch.setattr(cli, name, never)
+    for module, name in ((hopf, "run_suite"), (serre, "singular_scan"),
+                         (cli, "apply_word")):
+        monkeypatch.setattr(module, name, never)
     code, out, err = run(capsys, *argv, "--output",
                          str(tmp_path / "missing" / "report.json"))
     assert code == 2
@@ -186,12 +187,12 @@ def test_unwritable_output_fails_before_any_work(capsys, monkeypatch,
 ])
 def test_bad_specialize_fails_before_the_scan(capsys, monkeypatch,
                                               specialize):
-    from qscreen import cli
+    from qscreen import serre
 
     def never(*args, **kwargs):
         raise AssertionError("scanned before --specialize was checked")
 
-    monkeypatch.setattr(cli, "singular_scan", never)
+    monkeypatch.setattr(serre, "singular_scan", never)
     for weight in ("generic", "1,7"):
         code, out, err = run(capsys, "serre-scan", "--algebra", "sl3",
                              "--multidegree", "2,1", "--weight", weight,
@@ -447,6 +448,60 @@ def test_depth_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("serre-scan", "--algebra", "sl3", "--multidegree", "6,6"),
+     "multidegree 6,6 has 924 columns"),
+    (("serre-scan", "--algebra", "sl3", "--multidegree", "4,2"),
+     "multidegree 4,2 has 15 columns"),
+    (("verify", "--config", str(README.parent / "tests/algebras/a3.json"),
+      "--suite", "relations", "--depth", "12"),
+     "--suite relations at depth 12 sweeps 265720 states"),
+    (("verify", "--algebra", "sl3", "--depth", "7"),
+     "--suite all at depth 7 sweeps 16129 state pairs"),
+], ids=["sl3-6,6", "sl3-4,2", "a3-depth-12", "sl3-all-depth-7"])
+def test_work_caps_refuse_before_any_work(capsys, monkeypatch, argv, count):
+    """A depth within the cap can still ask for hours of work; the state
+    and column caps refuse it with exit 2, naming the count."""
+    from qscreen import hopf, serre
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran past the work cap")
+
+    monkeypatch.setattr(hopf, "run_suite", never)
+    monkeypatch.setattr(serre, "singular_scan", never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {count}, over the cap of ")
+    assert err.endswith("pass --force-depth if you mean it\n")
+
+
+def test_work_caps_yield_to_force_depth(capsys, monkeypatch):
+    from qscreen import cli
+
+    monkeypatch.setattr(cli, "MAX_STATES", 3)
+    monkeypatch.setattr(cli, "MAX_COLUMNS", 2)
+    for argv in (("verify", "--algebra", "sl2", "--suite", "relations"),
+                 ("serre-scan", "--algebra", "sl3", "--multidegree", "2,1")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "over the cap" in err
+        code, _, err = run(capsys, *argv, "--force-depth")
+        assert (code, err) == (0, "")
+
+
+def test_work_caps_admit_every_documented_invocation():
+    """The largest sweeps and scans that the README, the workloads and
+    the tests run through the CLI stay under the caps, and so does a
+    rank-2 relation sweep at the depth cap."""
+    from qscreen import cli
+
+    for rank, depth, suite in ((2, 3, "all"), (2, 6, "relations"),
+                               (1, 10, "relations"), (2, 4, "all"),
+                               (2, 12, "relations")):
+        cli.check_sweep(rank, depth, suite, False)
+    for multidegree in ((3, 2), (3, 1), (2, 2), (2, 1, 1), (12,)):
+        cli.check_columns(multidegree, False)
+
+
 def test_config_file_path(capsys, tmp_path):
     cfg = tmp_path / "alg.json"
     cfg.write_text(json.dumps({"rank": 1, "gram": [[2]], "odd": []}))
@@ -667,13 +722,13 @@ def test_serre_scan_specializes_with_the_scan_faults(capsys):
 
 def test_serre_scan_exits_one_on_nonzero_specialized_residual(capsys,
                                                              monkeypatch):
-    from qscreen import cli
+    from qscreen import serre
 
     def nonzero(result, weight):
         return {"weight": weight.label, "status": "residual-nonzero",
                 "basis": [], "residual_checks": [{"E1": "1", "E2": "0"}]}
 
-    monkeypatch.setattr(cli, "specialize_scan", nonzero)
+    monkeypatch.setattr(serre, "specialize_scan", nonzero)
     code, out, _ = run(capsys, "serre-scan", "--algebra", "sl3",
                        "--multidegree", "2,1", "--specialize", "1,7")
     assert code == 1

@@ -5,7 +5,9 @@ Each `.py` file under `src/qscreen`, `scripts` and `tests` is read with
 fails the test.  Package `__init__.py` files re-export by importing, and
 `from __future__` imports switch on language features, so both are exempt.
 A module-level `_`-prefixed function in `src/qscreen` that nothing in
-`src/` names outside its own `def` is dead code and fails too.
+`src/` names outside its own `def` is dead code and fails too; a dunder
+such as the package's `__getattr__` is called by the interpreter, not by
+name, so it is not private.
 """
 
 import ast
@@ -64,6 +66,8 @@ def dead_private_functions(sources: list[str]) -> list[str]:
     return sorted(node.name for tree in trees for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.name.startswith("_")
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))
                   and everywhere.count(node.name) == _names(node).count(node.name))
 
 
@@ -73,6 +77,9 @@ def test_scan_sees_a_dead_private_function():
     assert dead_private_functions(["def _a(): pass\n",
                                    "from m import _a\n_a()\n"]) == []
     assert dead_private_functions(["def _a(): pass\nx = m._a\n"]) == []
+    assert dead_private_functions(["def __getattr__(name): pass\n"
+                                   "def __dir__(): pass\n"
+                                   "def _a(): pass\n"]) == ["_a"]
 
 
 def test_no_dead_private_functions():

@@ -14,6 +14,7 @@ from qscreen.phase import (
     DenominatorVanishesError,
     KeyPacking,
     PhaseScalar,
+    _indivisible,
     _padd,
     _pdiv_exact,
     _pneg,
@@ -21,6 +22,7 @@ from qscreen.phase import (
     q_number,
     q_power,
     ratio,
+    rational,
     term_order,
     z_power,
 )
@@ -309,6 +311,84 @@ def test_reduce_exact_on_thirds():
                                                (Fraction(1, 3), ()): 1}
     assert all(type(a) is int for x in (third, whole, kept)
                for p in (x.num, x.den) for a, _ in p)
+
+
+def _long_division(n, d):
+    """`_pdiv_exact` for a d of two or more terms, without the early test:
+    `KeyPacking.divide` alone, or ValueError."""
+    plan = KeyPacking((n, d), len(next(iter(d))[1]), 2)
+    return plan.unpack_poly(plan.divide(plan.pack_poly(n), plan.pack_poly(d)))
+
+
+def _outcome(divide, n, d):
+    try:
+        return divide(n, d)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def division_pairs(draw):
+    """(n, d, step): d of two or more terms, n a multiple of d or one
+    perturbed by a term.  Coefficients are small or past 64 bits, of
+    either sign, and sometimes Fractions; sums are z-free or carry up to
+    three z-slots."""
+    arity = draw(st.integers(0, 3))
+    z_free = arity == 0 or draw(st.booleans())
+    z = st.just((0,) * arity) if z_free else st.tuples(*[small_ints] * arity)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70),
+                      st.fractions(-4, 4, max_denominator=3)).filter(bool)
+    def sums(min_size):
+        return st.dictionaries(st.tuples(st.integers(-9, 9), z),
+                               coeff.map(rational), min_size=min_size,
+                               max_size=5)
+    d, q = draw(sums(2)), draw(sums(0))
+    n = _pmul(q, d)
+    if draw(st.booleans()):
+        n = _padd(n, draw(sums(1)))
+    return n, d, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_pairs())
+def test_early_rejection_keeps_every_division(case):
+    """The same quotient, or ValueError, as the long division alone, over
+    every step: a key is an int exponent read over the scalar's step."""
+    n, d, step = case
+    expected = _outcome(_long_division, n, d)
+    assert _outcome(_pdiv_exact, n, d) == expected
+    if _indivisible(n, d):
+        assert expected is ValueError
+    arity = len(next(iter(d))[1])
+    reduced = PhaseScalar._of(n, d, arity, step).reduce_exact()
+    if expected is ValueError:
+        assert (reduced.num, reduced.den) == (n, d)
+    else:
+        assert (reduced.num, reduced.den, reduced.step) == (
+            expected, {(0, (0,) * arity): 1}, step)
+
+
+def _int_sum(*terms):
+    """A raw sum with int coefficients, as `_sum` takes them."""
+    return {(a, tuple(m)): c for c, a, m in terms}
+
+
+def test_early_rejection_applies_to_z_free_int_sums_only():
+    # (q^2 + 1) / (q + 1): at x = 4, 5 does not divide 17
+    assert _indivisible(_int_sum((1, 2, ()), (1, 0, ())),
+                        _int_sum((1, 1, ()), (1, 0, ())))
+    # a span shorter than the divisor's
+    assert _indivisible(_int_sum((1, 1, ())), _int_sum((1, 2, ()), (1, 0, ())))
+    # a true multiple, a z-slot in use and a Fraction coefficient prove nothing
+    assert not _indivisible(_int_sum((1, 2, ()), (-1, 0, ())),
+                            _int_sum((1, 1, ()), (1, 0, ())))
+    assert not _indivisible(_int_sum((1, 2, (1,)), (1, 0, (0,))),
+                            _int_sum((1, 1, (0,)), (1, 0, (0,))))
+    assert not _indivisible(_sum((Fraction(1, 2), 2, ()), (1, 0, ())),
+                            _int_sum((1, 1, ()), (1, 0, ())))
+    # z-free sums over several slots are tested
+    assert _indivisible(_int_sum((1, 2, (0, 0)), (1, 0, (0, 0))),
+                        _int_sum((1, 1, (0, 0)), (1, 0, (0, 0))))
 
 
 # ---- packed monomial keys ----
