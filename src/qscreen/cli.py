@@ -58,6 +58,9 @@ MAX_STATES = 4096
 MAX_COLUMNS = 12
 FAULT_NAMES = tuple(f.name for f in dataclasses.fields(FaultInjection))
 FORMATS = ("text", "json")
+# The verify suites that sweep the tensor square, the only ones that read
+# --weight2.
+TENSOR_SUITES = ("coproduct", "all")
 
 
 class UsageError(Exception):
@@ -116,7 +119,7 @@ def check_sweep(rank: int, depth: int, suite: str, force: bool) -> None:
         return
     count = sum(rank ** n for n in range(depth))
     noun = "states"
-    if suite in ("coproduct", "all"):
+    if suite in TENSOR_SUITES:
         count, noun = count * count, "state pairs"
     if count > MAX_STATES:
         raise UsageError(
@@ -174,7 +177,15 @@ def emit(payload, args, text_form: Callable[[], str]) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write --output: {exc}") from exc
     else:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError as exc:
+            # stdout's reader is gone; the interpreter flushes stdout once
+            # more at exit, which must then write nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(f"cannot write the report: {exc}") from exc
 
 
 def parallel_relations(datum: RootDatum, depth: int, weight: Weight,
@@ -200,6 +211,9 @@ def cmd_verify(args) -> int:
     check_sweep(datum.rank, depth, args.suite, args.force_depth)
     weight1 = parse_weight(args.weight, datum.rank)
     weight2 = parse_weight(args.weight2, datum.rank)
+    if not weight2.is_generic and args.suite not in TENSOR_SUITES:
+        raise UsageError(f"--weight2 is read by --suite coproduct and all "
+                         f"only, not by --suite {args.suite}")
     faults = build_faults(args.inject_fault)
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
@@ -339,15 +353,15 @@ def add_common(parser: argparse.ArgumentParser):
                         help="sabotage one sign convention (negative controls)")
 
 
-def add_depth_cap(parser: argparse.ArgumentParser, *,
+def add_depth_cap(parser: argparse.ArgumentParser, lifts: str, *,
                   depth_default: int | None = None):
-    """--force-depth, and --depth for the subcommands that sweep states."""
+    """--force-depth, which allows what `lifts` names, and --depth for the
+    subcommands that sweep states."""
     if depth_default is not None:
         parser.add_argument("--depth", type=int, default=depth_default,
                             help=f"contour depth cap, 1..{MAX_DEPTH}")
     parser.add_argument("--force-depth", action="store_true",
-                        help=f"allow depths (or a scan's total degree) "
-                             f"beyond {MAX_DEPTH}")
+                        help=f"allow {lifts}")
 
 
 WEIGHT_FLAGS = ("--weight", "--weight1", "--weight2", "--specialize")
@@ -370,7 +384,9 @@ class Parser(argparse.ArgumentParser):
 
 def _verify_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
-    add_depth_cap(p, depth_default=4)
+    add_depth_cap(p, f"a depth beyond {MAX_DEPTH} and a sweep over more "
+                     f"than {MAX_STATES} states (state pairs for --suite "
+                     f"coproduct and all)", depth_default=4)
     p.add_argument("--suite", choices=("relations", "coproduct", "hopf",
                                        "hopf-axioms", "all"),
                    default="all")
@@ -386,7 +402,7 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 
 def _act_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
-    add_depth_cap(p, depth_default=8)
+    add_depth_cap(p, f"a depth beyond {MAX_DEPTH}", depth_default=8)
     p.add_argument("--word", required=True,
                    help="generator tokens, e.g. 'E1 F1 K2-'")
     p.add_argument("--start", default="",
@@ -397,7 +413,8 @@ def _act_args(p: argparse.ArgumentParser) -> None:
 
 def _serre_scan_args(p: argparse.ArgumentParser) -> None:
     add_common(p)
-    add_depth_cap(p)
+    add_depth_cap(p, f"a total degree beyond {MAX_DEPTH} and more than "
+                     f"{MAX_COLUMNS} columns")
     p.add_argument("--multidegree", required=True,
                    help="comma-separated lowering counts per simple root, e.g. '2,1'")
     p.add_argument("--weight", default="generic",

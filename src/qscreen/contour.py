@@ -234,19 +234,32 @@ def seq_parity(datum: RootDatum, seq: Seq) -> int:
     return sum(datum.parity(i) for i in seq) % 2
 
 
-def accumulate(out: dict, terms: Iterable[tuple[Hashable, PhaseScalar]]) -> dict:
-    """Add (key, coefficient) terms into the sparse dict `out`, in place.
+def accumulate(out: dict, terms: Iterable[tuple[Hashable, PhaseScalar]],
+               scale: PhaseScalar | None = None) -> dict:
+    """Add (key, coefficient) terms into the sparse dict `out`, in place,
+    each times `scale` when one is given.
 
-    Zero terms are skipped and entries that cancel to zero are dropped,
-    so `out` keeps the zero-free contract of `Vector`.  Returns `out`.
+    The scale is applied only when it is not the exact unit (see `phase`),
+    so a stored image added with a coefficient of 1 costs no product; a
+    zero scale adds nothing.  Zero terms are skipped and entries that
+    cancel to zero are dropped, so `out` keeps the zero-free contract of
+    `Vector`.  Returns `out`.
     """
+    if scale is not None:
+        if not scale.num:
+            return out
+        if len(scale.den) == 1 and scale.num == scale.den:
+            scale = None
+    get = out.get
     for k, c in terms:
-        if c.is_zero():
+        if not c.num:
             continue
-        s = out.get(k)
+        if scale is not None:
+            c = scale * c
+        s = get(k)
         if s is not None:
             c = s + c
-            if c.is_zero():
+            if not c.num:
                 del out[k]
                 continue
         out[k] = c
@@ -332,7 +345,7 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
                     if exp or sign != 1:
                         factor = factor.q_shift(sign, exp)
                     factors[key] = factor
-                accumulate(out, [(seq[:l] + seq[l + 1:], c * factor)])
+                accumulate(out, ((seq[:l] + seq[l + 1:], factor),), c)
             e, s = ctx.crossing_factor(j, i)
             exp += e
             sign *= s
@@ -373,8 +386,10 @@ def apply_letter(ctx: ModuleContext, letter: Letter, v: Vector) -> Vector:
     if kind not in ("E", "K"):
         raise ValueError(f"unknown generator letter {letter!r}")
     word = (letter,)
-    return accumulate({}, ((t, c * x) for seq, c in v.items()
-                           for t, x in word_image(ctx, word, seq).items()))
+    out: Vector = {}
+    for seq, c in v.items():
+        accumulate(out, word_image(ctx, word, seq).items(), c)
+    return out
 
 
 def apply_word(ctx: ModuleContext, word: Word, v: Vector) -> Vector:

@@ -101,7 +101,7 @@ def elem_mul(e1: AlgebraElement, e2: AlgebraElement) -> AlgebraElement:
 def act_algebra(ctx: ModuleContext, e: AlgebraElement, v: Vector) -> Vector:
     out: Vector = {}
     for word, coeff in e.items():
-        accumulate(out, ((s, coeff * c) for s, c in apply_word(ctx, word, v).items()))
+        accumulate(out, apply_word(ctx, word, v).items(), coeff)
     return out
 
 
@@ -139,8 +139,7 @@ def coproduct_word(datum: RootDatum, word: Word, arity: int) -> TensorElement:
 def coproduct_element(datum: RootDatum, e: AlgebraElement, arity: int) -> TensorElement:
     out: TensorElement = {}
     for word, coeff in e.items():
-        piece = coproduct_word(datum, word, arity)
-        accumulate(out, ((k, coeff * c) for k, c in piece.items()))
+        accumulate(out, coproduct_word(datum, word, arity).items(), coeff)
     return out
 
 
@@ -266,6 +265,7 @@ def act_tensor_element(tctx: TensorContext, te: TensorElement,
             groups.setdefault(w2, []).append((w1, coeff))
         entry = tctx._left_sums[id(te)] = (words, ids, groups, {})
     groups, by_state = entry[2], entry[3]
+    one = PhaseScalar.one(tctx.arity)
     out: TensorVector = {}
     for (s1, s2), c in tv.items():
         lefts = by_state.get(s1)
@@ -273,8 +273,10 @@ def act_tensor_element(tctx: TensorContext, te: TensorElement,
             lefts = by_state[s1] = _signed_left_sums(tctx, groups, s1)
         for w2, left in lefts:
             v2 = word_image(tctx.right, w2, s2)
-            accumulate(out, (((t1, t2), c * c1 * c2) for t1, c1 in left.items()
-                             for t2, c2 in v2.items()))
+            # a sweep's pair coefficient is the shared unit: no product
+            for t1, c1 in left.items():
+                accumulate(out, (((t1, t2), c2) for t2, c2 in v2.items()),
+                           c1 if c is one else c * c1)
     return out
 
 
@@ -286,8 +288,9 @@ def _signed_left_sums(tctx: TensorContext, groups: dict[Word, list],
     odd_s1 = seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign
     out = []
     for w2, pairs in groups.items():
-        left = accumulate({}, ((t1, coeff * x) for w1, coeff in pairs
-                               for t1, x in word_image(tctx.left, w1, s1).items()))
+        left: Vector = {}
+        for w1, coeff in pairs:
+            accumulate(left, word_image(tctx.left, w1, s1).items(), coeff)
         if left:
             if odd_s1 and word_parity(datum, w2):
                 left = {t1: -x for t1, x in left.items()}

@@ -488,6 +488,30 @@ def test_work_caps_yield_to_force_depth(capsys, monkeypatch):
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("sub, lifts, keeps", [
+    ("verify", ["a depth beyond {MAX_DEPTH}",
+                "more than {MAX_STATES} states"], ["{MAX_COLUMNS} columns"]),
+    ("act", ["a depth beyond {MAX_DEPTH}"],
+     ["{MAX_STATES} states", "{MAX_COLUMNS} columns"]),
+    ("serre-scan", ["a total degree beyond {MAX_DEPTH}",
+                    "more than {MAX_COLUMNS} columns"], ["{MAX_STATES}"]),
+])
+def test_force_depth_help_names_the_caps_it_lifts(sub, lifts, keeps):
+    """Each subcommand's --force-depth help names the caps that the flag
+    lifts there, and no cap that the subcommand does not have."""
+    from qscreen import cli
+
+    caps = {"MAX_DEPTH": cli.MAX_DEPTH, "MAX_STATES": cli.MAX_STATES,
+            "MAX_COLUMNS": cli.MAX_COLUMNS}
+    text = " ".join(cli.subcommand_parser(sub).format_help().split())
+    line = text.partition("--force-depth allow ")[2].partition(" --")[0]
+    assert line
+    for phrase in lifts:
+        assert phrase.format(**caps) in line
+    for phrase in keeps:
+        assert phrase.format(**caps) not in line
+
+
 def test_work_caps_admit_every_documented_invocation():
     """The largest sweeps and scans that the README, the workloads and
     the tests run through the CLI stay under the caps, and so does a
@@ -566,6 +590,54 @@ def test_verify_rejects_weight_of_wrong_length(capsys, weight):
                        "relations", "--depth", "2", "--weight", weight)
     assert_usage_error(capsys, "verify", "--algebra", "sl3", "--suite",
                        "coproduct", "--depth", "2", "--weight2", weight)
+
+
+@pytest.mark.parametrize("suite", ["relations", "hopf", "hopf-axioms",
+                                   "coproduct", "all"])
+def test_weight2_is_refused_where_no_suite_reads_it(capsys, monkeypatch,
+                                                    suite):
+    """Only the tensor-square sweep has a second factor: elsewhere a
+    concrete --weight2 exits 2 before any work instead of being dropped,
+    and a generic one is accepted."""
+    from qscreen import hopf
+
+    argv = ("verify", "--algebra", "sl2", "--depth", "2", "--suite", suite)
+    reads = suite in ("coproduct", "all")
+    code, _, err = run(capsys, *argv, "--weight2", "generic")
+    assert (code, err) == (0, "")
+    if not reads:
+        def never(*args, **kwargs):
+            raise AssertionError("ran a suite with an unread --weight2")
+
+        monkeypatch.setattr(hopf, "run_suite", never)
+    code, out, err = run(capsys, *argv, "--weight2", "1")
+    if reads:
+        assert (code, err) == (0, "")
+        assert "weight: generic | 1" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == (f"error: --weight2 is read by --suite coproduct and "
+                       f"all only, not by --suite {suite}\n")
+
+
+def test_closed_stdout_exits_two_without_a_traceback():
+    """A report written to a pipe whose reader has gone is a write error
+    like an unwritable --output: one `error:` line, exit 2, and nothing
+    from the interpreter's final flush of stdout."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qscreen.cli", "verify", "--algebra",
+             "sl2", "--suite", "relations", "--depth", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write the report: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("weight", ["1", "1,2,3"])

@@ -8,7 +8,8 @@ and signed left sums in `hopf.act_tensor_element`.
 the memo is warmed, must never hand out a memoized dict, and must stay
 scoped to one context, so that a clean sweep cannot leak images into a
 negative control.  A left sum must never be served for other coefficients
-than those it was built from.
+than those it was built from.  The sweeps add stored images through
+`accumulate` with a scale, which must add what the scaled terms add.
 """
 
 import itertools
@@ -55,6 +56,7 @@ from qscreen.hopf import (
 )
 from qscreen.phase import PhaseScalar, q_power, rational
 from qscreen.rootdata import CATALOG, Weight, load_datum
+from test_phasering import _is_unit, monomials, scalars
 
 FAULTS = (None, "drop_hat_parity", "drop_interchange_sign",
           "flip_raising_prefactor")
@@ -536,3 +538,39 @@ def test_left_sums_follow_the_coefficients():
     te[(f1, ())] = te.pop((f1, k2))
     te[((), ())] = te.pop(((), k2))
     check(te)
+
+
+# ---- sums with a scale ----
+
+@st.composite
+def scaled_terms(draw):
+    """A zero-free vector, terms on few keys, and a unit, zero or monomial
+    scale."""
+    arity = draw(st.integers(1, 2))
+    term = st.tuples(st.sampled_from([(), (0,), (1, 0)]), scalars(arity))
+    start = accumulate({}, draw(st.lists(term, max_size=3)))
+    scale = draw(st.one_of(st.just(PhaseScalar.one(arity)),
+                           st.just(PhaseScalar.zero(arity)),
+                           monomials(arity)))
+    return start, draw(st.lists(term, max_size=6)), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_terms())
+def test_accumulate_with_a_scale_adds_the_scaled_terms(case):
+    """`accumulate(out, terms, scale)` adds what `accumulate` of the terms
+    times the scale adds, keeps `out` zero-free and leaves the terms as
+    they were; where the scale is not 1 it stores the same products."""
+    start, terms, scale = case
+
+    def snapshot():
+        return [(k, dict(c.num), dict(c.den), c.step) for k, c in terms]
+
+    before = snapshot()
+    expected = accumulate(dict(start), [(k, scale * c) for k, c in terms])
+    got = accumulate(dict(start), terms, scale)
+    assert vec_eq(got, expected)
+    assert all(not c.is_zero() for c in got.values())
+    if not _is_unit(scale):
+        assert _stored(got) == _stored(expected)
+    assert snapshot() == before

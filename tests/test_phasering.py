@@ -3,10 +3,11 @@
 import operator
 import signal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qscreen.phase import (
@@ -657,6 +658,10 @@ def _snapshot(x):
     return (dict(x.num), dict(x.den), x.arity, x.step)
 
 
+def _is_unit(x):
+    return len(x.den) == 1 and x.num == x.den
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2).flatmap(lambda n: st.tuples(
     scalars(n), scalars(n), st.lists(q_exps, min_size=n, max_size=n))))
@@ -666,7 +671,15 @@ def test_no_operation_mutates_an_operand(case):
     a, b, exps = case
     one = PhaseScalar.one(a.arity)
     assert PhaseScalar.one(a.arity) is one
-    operands = (a, b, one)
+    # a monomial takes the shift path of `*`; over step 1 it leaves a's
+    # step as it is, so the product shares the other operand's den dict:
+    # a's, or mono's when a is a monomial too
+    mono = PhaseScalar.monomial(-2, 1, (1,) * a.arity, a.arity)
+    shared = a * mono
+    if a.num and not _is_unit(a):
+        keeper = mono if len(a.num) == len(a.den) == 1 else a
+        assert shared.den is keeper.den
+    operands = (a, b, one, mono, shared)
     before = [_snapshot(x) for x in operands]
     for x in operands:
         for y in operands:
@@ -798,3 +811,62 @@ def test_unit_and_zero_operands_keep_the_stored_form(a):
     for x in (a * one, one * a, a + zero, zero + a, a * 1, 1 * a, a + 0, 0 + a):
         assert x.num == a.num and x.den == a.den
         _assert_canonical(x)
+
+
+# ---- products with a monomial factor; sums that drop what cancels ----
+
+@st.composite
+def monomials(draw, arity):
+    """One term over the unit denominator, over its own step: z-free or
+    z-carrying, with a coefficient of ±1 or a Fraction."""
+    m = draw(st.one_of(st.just((0,) * arity),
+                       st.tuples(*[small_ints] * arity)))
+    c = draw(st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 2)]))
+    return PhaseScalar.monomial(c, draw(q_exps), m, arity)
+
+
+def _general_product(x, y):
+    """(num, den, arity, step) of x * y the general way: both over the lcm
+    of their steps, numerators and denominators multiplied term by term."""
+    step = lcm(x.step, y.step)
+    x, y = x._at(step), y._at(step)
+    num = _pmul_reference(x.num, y.num)
+    den = _pmul_reference(x.den, y.den) if num else {(0, (0,) * x.arity): 1}
+    return num, den, x.arity, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda n: st.tuples(
+    monomials(n),
+    st.one_of(scalars(n), monomials(n), st.just(PhaseScalar.one(n)),
+              st.just(PhaseScalar.zero(n))))))
+def test_monomial_product_stores_what_the_general_path_stores(case):
+    """A product with a monomial factor shifts the other operand's keys;
+    it stores what multiplying both sums and both denominators stores, in
+    both operand orders, over operands of different steps, and against a
+    monomial, the unit and zero."""
+    mono, x = case
+    # `*` returns the other operand for a unit; one over a step above 1
+    # would keep that step where the general path takes the lcm
+    assume(not (_is_unit(x) and x.step > 1))
+    expected = _general_product(mono, x)
+    for product in (mono * x, x * mono):
+        assert _snapshot(product) == expected
+        _assert_canonical(product)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2).flatmap(
+    lambda n: st.tuples(crowded_sums(n), crowded_sums(n))))
+def test_padd_drops_what_cancels_as_it_adds(pair):
+    """`_padd` equals the sum followed by a strip of zeros, and leaves its
+    operands as they were, down to a total cancellation."""
+    p1, p2 = pair
+    before = (dict(p1), dict(p2))
+    total = dict(p1)
+    for k, c in p2.items():
+        total[k] = total.get(k, 0) + c
+    assert _padd(p1, p2) == {k: c for k, c in total.items() if c != 0}
+    assert _padd(p1, _pneg(p1)) == {}
+    assert _padd(p2, p1) == _padd(p1, p2)
+    assert (p1, p2) == before
