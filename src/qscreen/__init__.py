@@ -21,14 +21,14 @@ __version__ = "0.1.0"
 # home module: the names it exports through the package
 _EXPORTS = {
     "phase": ("ArityMismatchError", "DenominatorVanishesError", "PhaseScalar",
-              "q_number", "q_power", "z_power"),
+              "q_number", "q_power"),
     "rootdata": ("CATALOG", "ConfigError", "RootDatum", "Weight",
                  "datum_from_config", "datum_to_config", "load_datum",
                  "resolve_algebra"),
     "contour": ("DepthExceededError", "FaultInjection", "ModuleContext",
                 "apply_cartan", "apply_lowering", "apply_raising",
                 "apply_raising_hat", "apply_word", "parse_word",
-                "render_vector", "state", "vacuum", "word_token"),
+                "render_vector", "state", "word_token"),
     "hopf": ("TensorContext", "VerificationReport", "act_tensor_element",
              "act_word_pair", "antipode_word", "braid_phase",
              "coproduct_letter", "coproduct_word", "counit_word", "run_suite",

@@ -24,8 +24,8 @@ product over the contours *outside* position l,
 
 whose sign keeps track of odd contours passing odd contours.  The product
 is a signed power of q, so `apply_raising_hat` carries it as a plain
-(exponent, sign) pair and applies it to the bracket as a signed q-shift
-(`PhaseScalar.q_shift`).
+(exponent, sign) pair, and `ModuleContext.removal_factor` writes the
+whole factor from its keys.
 
 Vectors over the basis are sparse dicts mapping index sequences to
 PhaseScalar coefficients, in the weight-space given by the context.  A
@@ -34,16 +34,14 @@ that cancel, `vec_scale` returns {} for a zero factor, and a product of
 nonzero scalars is nonzero.  So {} is the zero vector, and `vec_eq`
 compares keys, then coefficients.
 
-Each `ModuleContext` owns four memos.  Each is keyed by everything its
+Each `ModuleContext` owns three memos.  Each is keyed by everything its
 values depend on besides the context's fields, which fix the rest:
 
   * images, read through `word_image`: the image of the unit state at a
     basis state under a word, one per (word, state);
   * removal factors of `apply_raising_hat`, crossing times bracket, one per
-    (j, clear_denominator, sign, exponent, inner Gram sum);
-  * brackets, one per (j, clear_denominator, inner Gram sum), each built
-    from its two keys, with no product and no division; a factor missing
-    from its memo is its bracket with the crossing applied as a q-shift;
+    (j, clear_denominator, sign, exponent, inner Gram sum), each written
+    from its keys by `ModuleContext.removal_factor`;
   * Cartan factors of `apply_cartan`, one per (j, sign, exponent).
 
 A memo lives and dies with its one instance: `dataclasses.replace` starts
@@ -66,7 +64,7 @@ from functools import cached_property
 from math import lcm
 from typing import Hashable, Iterable
 
-from .phase import PhaseScalar, Rational, q_power, rational
+from .phase import PhaseScalar, Rational, q_power
 from .rootdata import RootDatum, Weight
 
 # A basis state: tuple of 0-based simple-root indices, outermost first.
@@ -125,12 +123,9 @@ class ModuleContext:
     _images: dict = field(default_factory=dict, init=False, compare=False,
                           hash=False, repr=False)
     # (j, clear_denominator, sign, exp, inner) -> removal factor; see
-    # `apply_raising_hat`.
+    # `removal_factor`.
     _factors: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
-    # (j, clear_denominator, inner) -> bracket; see `bracket`.
-    _brackets: dict = field(default_factory=dict, init=False, compare=False,
-                            hash=False, repr=False)
     # (j, sign, exp) -> Cartan factor; see `apply_cartan`.
     _cartans: dict = field(default_factory=dict, init=False, compare=False,
                            hash=False, repr=False)
@@ -143,16 +138,9 @@ class ModuleContext:
 
     # ---- scalar builders ----
 
-    def q(self, a) -> PhaseScalar:
-        return q_power(a, self.arity)
-
-    def z(self, j: int, n: int = 1) -> PhaseScalar:
-        """The n-th power of the weight phase of simple root j."""
-        return self.qz(0, j, n)
-
     def qz(self, a, j: int, n: int) -> PhaseScalar:
-        """The monomial q^a z_j^n, built as one scalar: `q(a) * z(j, n)`
-        without the product."""
+        """The monomial q^a z_j^n as one scalar; at a concrete weight z_j
+        is q^{-alpha_j . lambda}."""
         if self.weight.is_generic:
             m = [0] * self.arity
             m[self.z_offset + j] = n
@@ -168,47 +156,44 @@ class ModuleContext:
 
     def bracket_denominator(self, j: int) -> PhaseScalar:
         d = self.datum.symmetrizer(j)
-        return self.q(d) - self.q(-d)
+        return q_power(d, self.arity) - q_power(-d, self.arity)
 
-    def bracket(self, j: int, clear_denominator: bool,
-                inner: Rational) -> PhaseScalar:
-        """The deformation bracket (1 - q^{2 inner} z_j^2)/(q_j - q_j^{-1}),
-        or its numerator alone with clear_denominator; memoized per context
-        and (j, clear_denominator, inner).
+    def removal_factor(self, j: int, clear_denominator: bool, sign: int,
+                       exp: Rational, inner: Rational) -> PhaseScalar:
+        """sign q^exp (1 - q^{2 inner} z_j^2) / (q_j - q_j^{-1}), or its
+        numerator alone with clear_denominator; memoized per context and key.
 
-        A miss writes the value from its two keys, with no product and no
-        division: the numerator 1 - q^e z_j^2 with e = 2 inner (at a
-        concrete weight z_j^2 is a power of q, so the numerator is 1 - q^e
-        with e = 2 inner - 2 alpha_j . lambda, and 0 when that e is 0),
-        over q^{d_j} - q^{-d_j}, or over 1 with clear_denominator, at the
-        least step that makes the exponents ints.  So it stores the num,
-        den and step that `(1 - qz(2 inner, j, 2)) / bracket_denominator(j)`
-        stores.
+        A miss writes the two-term numerator from its keys (at a concrete
+        weight z_j^2 is q^{-2 alpha_j . lambda}, and the numerator is 0 when
+        its two keys coincide) over q^{d_j} - q^{-d_j} or 1, at the least
+        step that makes the exponents ints: the num, den and step that
+        `sign * q_power(exp, arity) * (1 - qz(2 inner, j, 2)) /
+        bracket_denominator(j)` stores, with no product and no division.
         """
-        key = (j, clear_denominator, inner)
-        out = self._brackets.get(key)
+        key = (j, clear_denominator, sign, exp, inner)
+        out = self._factors.get(key)
         if out is not None:
             return out
         zeros = (0,) * self.arity
         if self.weight.is_generic:
-            e = rational(2 * inner)
+            e = 2 * inner
             k = self.z_offset + j
             m = zeros[:k] + (2,) + zeros[k + 1:]
         else:
-            e = rational(2 * inner - 2 * self.pairings[j])
+            e = 2 * inner - 2 * self.pairings[j]
             m = zeros
         d = self.datum.symmetrizer(j)
-        step = (e.denominator if clear_denominator
-                else lcm(e.denominator, d.denominator))
-        num = ({(e.numerator * (step // e.denominator), m): -1, (0, zeros): 1}
-               if e or any(m) else {})
-        if clear_denominator or not num:
+        step = lcm(e.denominator, exp.denominator,
+                   1 if clear_denominator else d.denominator)
+        a = exp.numerator * (step // exp.denominator)
+        num = ({(a + e.numerator * (step // e.denominator), m): -sign,
+                (a, zeros): sign} if e or any(m) else {})
+        if clear_denominator:
             den = {(0, zeros): 1}
         else:
-            a = d.numerator * (step // d.denominator)
-            den = {(a, zeros): 1, (-a, zeros): -1}
-        out = self._brackets[key] = PhaseScalar._of(num, den, self.arity,
-                                                    step)
+            b = d.numerator * (step // d.denominator)
+            den = {(b, zeros): 1, (-b, zeros): -1}
+        out = self._factors[key] = PhaseScalar._of(num, den, self.arity, step)
         return out
 
     def crossing_factor(self, j: int, i: int) -> tuple[Rational, int]:
@@ -219,11 +204,6 @@ class ModuleContext:
             exp = -exp
         odd = self.datum.parity(j) * self.datum.parity(i)
         return exp, -1 if odd and not self.faults.drop_hat_parity else 1
-
-
-def vacuum(ctx: ModuleContext) -> Vector:
-    """The highest-weight state with no contours."""
-    return {(): PhaseScalar.one(ctx.arity)}
 
 
 def state(ctx: ModuleContext, seq: Seq) -> Vector:
@@ -320,9 +300,8 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
 
     The removal factor crossing * bracket depends on the context and on
     (j, clear_denominator, sign, exponent, inner) only, so the context
-    memoizes it, and each coefficient is multiplied by it once.  A factor
-    missing from that memo is the memoized `ModuleContext.bracket` shifted
-    by the crossing's signed power of q.
+    memoizes it (`ModuleContext.removal_factor`), and each coefficient is
+    multiplied by it once.
     """
     factors = ctx._factors
     pair = ctx.datum.pair
@@ -341,10 +320,7 @@ def apply_raising_hat(ctx: ModuleContext, j: int, v: Vector, *,
                 key = (j, clear_denominator, sign, exp, inners[l])
                 factor = factors.get(key)
                 if factor is None:
-                    factor = ctx.bracket(j, clear_denominator, inners[l])
-                    if exp or sign != 1:
-                        factor = factor.q_shift(sign, exp)
-                    factors[key] = factor
+                    factor = ctx.removal_factor(*key)
                 accumulate(out, ((seq[:l] + seq[l + 1:], factor),), c)
             e, s = ctx.crossing_factor(j, i)
             exp += e

@@ -606,17 +606,6 @@ class PhaseScalar:
 
     __rmul__ = __mul__
 
-    def q_shift(self, sign: int, a: Rational) -> "PhaseScalar":
-        """sign·q^a times this value, for sign ±1: the numerator's keys
-        shifted by a and its coefficients times sign, with no product of
-        sums.  Stores what `*` by that monomial stores, unless this value is
-        the exact unit, for which `*` returns the monomial itself."""
-        a = rational(a)
-        x = self._at(lcm(self.step, a.denominator))
-        shift = a.numerator * (x.step // a.denominator)
-        return PhaseScalar._of(_shift(x.num, (shift, (0,) * x.arity), sign),
-                               x.den, x.arity, x.step)
-
     def invert(self) -> "PhaseScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverting the zero phase scalar")
@@ -778,15 +767,6 @@ def exp_token(a: Rational) -> str:
 def q_power(a: Rational, arity: int) -> PhaseScalar:
     """The monomial q^a with coefficient 1."""
     return PhaseScalar.monomial(1, a, (0,) * arity, arity)
-
-
-def z_power(slot: int, n: int, arity: int) -> PhaseScalar:
-    """The monomial z_{slot+1}^n (slot is 0-based) with coefficient 1."""
-    if not 0 <= slot < arity:
-        raise ArityMismatchError(f"z slot {slot} out of range for arity {arity}")
-    m = [0] * arity
-    m[slot] = n
-    return PhaseScalar.monomial(1, 0, m, arity)
 
 
 def q_number(a: int, base: PhaseScalar) -> PhaseScalar:

@@ -82,24 +82,26 @@ from .rootdata import RootDatum, Weight
 
 
 def enumerate_words(multidegree: Sequence[int]) -> list[Seq]:
-    """All distinct letter arrangements of the multidegree, lex ascending."""
-    counts = {j: d for j, d in enumerate(multidegree) if d > 0}
+    """All distinct letter arrangements of the multidegree, lex ascending:
+    each the next permutation of the one before, from the sorted word, so
+    no call stack grows with the degree."""
     if any(d < 0 for d in multidegree):
         raise ValueError("multidegree entries must be nonnegative")
-    total = sum(counts.values())
-
-    def rec(n: int):
-        if n == 0:
-            yield ()
-            return
-        for j in sorted(counts):
-            if counts[j]:
-                counts[j] -= 1
-                for rest in rec(n - 1):
-                    yield (j,) + rest
-                counts[j] += 1
-
-    return list(rec(total))
+    word = [j for j, d in enumerate(multidegree) for _ in range(d)]
+    out = [tuple(word)]
+    while True:
+        # the last ascent word[i] < word[i + 1]; none after the last word
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        k = len(word) - 1
+        while word[k] <= word[i]:
+            k -= 1
+        word[i], word[k] = word[k], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def nullspace(rows: list[list[PhaseScalar]], ncols: int,

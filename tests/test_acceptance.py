@@ -16,7 +16,7 @@ from qscreen.contour import (
     apply_word,
     lowering_word,
     parse_word,
-    vacuum,
+    state,
     vec_eq,
     vec_scale,
 )
@@ -26,7 +26,6 @@ from qscreen.phase import (
     PhaseScalar,
     q_number,
     q_power,
-    z_power,
 )
 from qscreen.rootdata import CATALOG, Weight
 from qscreen.serre import singular_scan, specialize_scan, specialize_vector
@@ -90,14 +89,14 @@ def test_criterion_4_rank1_towers_match_closed_form():
     (1 - z^2 q^{2(n-1)}) [n]_{q^2} / (q - q^{-1}) for every n from 1 to 6."""
     ctx = ModuleContext(datum=CATALOG["sl2"], depth=7)
     b = q_power(2, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     ok = True
     for n in range(1, 7):
-        tower = apply_word(ctx, lowering_word([0] * n), vacuum(ctx))
+        tower = apply_word(ctx, lowering_word([0] * n), state(ctx, ()))
         got = apply_raising_hat(ctx, 0, tower)
         closed = (1 - z ** 2 * b ** (n - 1)) * q_number(n, b) / ctx.bracket_denominator(0)
         want = vec_scale(closed, apply_word(ctx, lowering_word([0] * (n - 1)),
-                                            vacuum(ctx)))
+                                            state(ctx, ())))
         ok = ok and vec_eq(got, want)
     report(4, ok, "sl2 towers of 1..6 contours match the deformed-integer "
                   "closed form")
@@ -158,8 +157,8 @@ def test_criterion_6_concrete_weights_specialize_exactly():
             zero = PhaseScalar.zero(gen.arity)
             for text in sample_words[datum.rank]:
                 word = parse_word(text)
-                vg = apply_word(gen, word, vacuum(gen))
-                vc = apply_word(con, word, vacuum(con))
+                vg = apply_word(gen, word, state(gen, ()))
+                vc = apply_word(con, word, state(con, ()))
                 for seq in set(vg) | set(vc):
                     lhs = vg.get(seq, zero).substitute_z(exps)
                     if lhs != vc.get(seq, zero):

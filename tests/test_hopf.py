@@ -101,7 +101,7 @@ def test_split_lowering_closed_form():
     # outer placement is coefficient-free
     assert out[((0, 0), (0,))] == one(tctx.arity)
     # pulling through one even contour costs q^2 and the left weight phase
-    z_left = tctx.left.z(0, 1)
+    z_left = tctx.left.qz(0, 0, 1)
     assert out[((0,), (0, 0))] == q_power(2, tctx.arity) * z_left
 
 

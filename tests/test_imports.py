@@ -7,7 +7,9 @@ fails the test.  Package `__init__.py` files re-export by importing, and
 A module-level `_`-prefixed function in `src/qscreen` that nothing in
 `src/` names outside its own `def` is dead code and fails too; a dunder
 such as the package's `__getattr__` is called by the interpreter, not by
-name, so it is not private.
+name, so it is not private.  A public function or method of `src/qscreen`
+that nothing in `src/` or `scripts/` names is called by tests alone; those
+names are pinned to the references the tests check the package against.
 """
 
 import ast
@@ -85,3 +87,53 @@ def test_scan_sees_a_dead_private_function():
 def test_no_dead_private_functions():
     sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
     assert dead_private_functions(sources) == []
+
+
+def _public_functions(tree: ast.Module) -> list[ast.AST]:
+    """The module's public functions and the public methods of its
+    classes."""
+    out = []
+    for node in tree.body:
+        for sub in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not sub.name.startswith("_")):
+                out.append(sub)
+    return out
+
+
+def unnamed_public_functions(sources: list[str],
+                             users: list[str]) -> list[str]:
+    """The public functions and methods of `sources` that nothing in
+    `sources` or `users` names outside its own def."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = [name for tree in trees + [ast.parse(u) for u in users]
+                  for name in _names(tree)]
+    return sorted({node.name for tree in trees
+                   for node in _public_functions(tree)
+                   if everywhere.count(node.name)
+                   == _names(node).count(node.name)})
+
+
+def test_scan_sees_an_unnamed_public_function():
+    assert unnamed_public_functions(
+        ["def a():\n    return a()\n"
+         "class C:\n    def m(self): pass\n    def _p(self): pass\n"], []) \
+        == ["a", "m"]
+    assert unnamed_public_functions(["def a(): pass\n"],
+                                     ["from m import a\n"]) == []
+    assert unnamed_public_functions(["class C:\n    def m(self): pass\n"
+                                     "C().m()\n"], []) == []
+    assert unnamed_public_functions(["def __dir__(): pass\n"
+                                     "def _a(): pass\n"], []) == []
+
+
+def test_only_the_test_references_are_unnamed_in_the_package():
+    """The names that only tests call: `act_word_pair`, the reference for
+    `act_tensor_element`, `bracket_denominator`, the one for the removal
+    factors, `q_number`, `datum_to_config` and `RootDatum.cartan`.  A name
+    that joins them is a duplicate builder or dead code."""
+    sources = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
+    scripts = [p.read_text() for p in sorted((ROOT / "scripts").rglob("*.py"))]
+    assert unnamed_public_functions(sources, scripts) == [
+        "act_word_pair", "bracket_denominator", "cartan", "datum_to_config",
+        "q_number"]

@@ -1,7 +1,7 @@
 """The per-context memos: generator images in `contour.apply_letter`,
-removal factors and brackets in `contour.apply_raising_hat`, Cartan
-factors in `contour.apply_cartan`, factor images in `hopf.act_word_pair`
-and signed left sums in `hopf.act_tensor_element`.
+removal factors in `contour.apply_raising_hat`, Cartan factors in
+`contour.apply_cartan`, factor images in `hopf.act_word_pair` and signed
+left sums in `hopf.act_tensor_element`.
 
 `apply_word`, `apply_raising_hat`, `apply_cartan`, `act_word_pair` and
 `act_tensor_element` must agree with uncached or fresh computation however
@@ -37,7 +37,6 @@ from qscreen.contour import (
     render_vector,
     seq_parity,
     state,
-    vacuum,
     vec_add,
     vec_eq,
     vec_scale,
@@ -170,7 +169,7 @@ def test_depth_overflow_raises_every_time():
         with pytest.raises(DepthExceededError):
             apply_word(ctx, parse_word("F1 K1"), full)
         with pytest.raises(DepthExceededError):
-            apply_word(ctx, parse_word("F1 F1 F1"), vacuum(ctx))
+            apply_word(ctx, parse_word("F1 F1 F1"), state(ctx, ()))
         with pytest.raises(DepthExceededError):
             apply_letter(ctx, ("F", 0), full)
 
@@ -199,7 +198,7 @@ def test_tensor_factor_contexts_are_reused():
     assert tctx.left is tctx.left and tctx.right is tctx.right
     assert tctx.left != tctx.right
     assert tctx == TensorContext(datum=CATALOG["sl3"], depth=3)
-    scaled = vec_scale(tctx.left.q(2), state(tctx.left, (1,)))
+    scaled = vec_scale(q_power(2, tctx.left.arity), state(tctx.left, (1,)))
     assert vec_eq(apply_word(tctx.left, parse_word("K1"), scaled),
                   direct(tctx.left, parse_word("K1"), scaled))
 
@@ -388,12 +387,10 @@ def test_scalar_memos_match_fresh_contexts(name, weight, fault):
     crossings: dict = {}
     for j, clear, sign, exp, inner in shared._factors:
         crossings.setdefault((j, clear, inner), set()).add((sign, exp))
-    assert set(crossings) == set(shared._brackets)
     assert max(map(len, crossings.values())) > 1
     assert {key[1] for key in shared._cartans} == {1, -1}
     moved = replace(shared, weight=Weight.concrete([2, 1]))
-    assert not (moved._factors or moved._brackets or moved._cartans
-                or moved._images)
+    assert not (moved._factors or moved._cartans or moved._images)
 
 
 ALGEBRAS = Path(__file__).resolve().parent / "algebras"
@@ -411,32 +408,37 @@ def bracket_weights(rank: int) -> list[Weight]:
 
 @pytest.mark.parametrize("datum", BRACKET_DATA, ids=lambda d: d.label)
 def test_brackets_store_the_formula(datum):
-    """`ModuleContext.bracket` writes its value from its keys; it stores
-    the num, den and step, in the same order, of the formula
-    (1 - qz(2 inner, j, 2)) / bracket_denominator(j), or of its numerator
-    with clear_denominator.  The inner sums include, at each concrete
-    weight, the one that makes the bracket zero."""
+    """`ModuleContext.removal_factor`, a deformation bracket times its
+    crossing, writes its value from its keys; it stores the num, den and
+    step, in the same order, of the formula
+    sign q^exp (1 - qz(2 inner, j, 2)) / bracket_denominator(j), or of its
+    numerator with clear_denominator, in module and tensor contexts, for
+    both signs and integral and half-integral exponents.  The inner sums
+    include, at each concrete weight, the one that makes the factor zero,
+    and only that one does."""
     rank = datum.rank
-    inners = {rational(Fraction(n, 6)) for n in range(-24, 25)}
-    zeros = 0
+    inners = {rational(Fraction(n, 6)) for n in range(-12, 13)}
+    exps = (0, -1, Fraction(1, 2), Fraction(-3, 2))
     for weight in bracket_weights(rank):
         for arity, z_offset in ((rank, 0), (2 * rank, 0), (2 * rank, rank)):
             ctx = ModuleContext(datum=datum, weight=weight, arity=arity,
                                 z_offset=z_offset)
             for j, clear in itertools.product(range(rank), (False, True)):
                 vanishing = set() if weight.is_generic else {ctx.pairings[j]}
-                for inner in sorted(inners | vanishing):
-                    want = 1 - ctx.qz(2 * inner, j, 2)
+                for inner, sign, exp in itertools.product(
+                        sorted(inners | vanishing), (1, -1), exps):
+                    want = (sign * q_power(exp, arity)
+                            * (1 - ctx.qz(2 * inner, j, 2)))
                     if not clear:
                         want = want / ctx.bracket_denominator(j)
-                    got = ctx.bracket(j, clear, inner)
-                    assert ctx.bracket(j, clear, inner) is got
+                    got = ctx.removal_factor(j, clear, sign, exp, inner)
+                    assert ctx.removal_factor(j, clear, sign, exp,
+                                              inner) is got
                     assert (list(got.num.items()), list(got.den.items()),
                             got.step, got.arity) == \
                         (list(want.num.items()), list(want.den.items()),
                          want.step, want.arity)
-                    zeros += got.is_zero()
-    assert zeros
+                    assert got.is_zero() == (inner in vanishing)
 
 
 # ---- signed left sums of tensor elements ----

@@ -25,7 +25,6 @@ from qscreen.phase import (
     ratio,
     rational,
     term_order,
-    z_power,
 )
 from test_serre import scalar_to_sympy
 
@@ -42,11 +41,11 @@ def test_zero_and_one():
 
 def test_monomial_arithmetic():
     q = q_power(1, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     assert q * q == q_power(2, 1)
     assert q * q ** -1 == PhaseScalar.one(1)
-    assert z ** 3 == z_power(0, 3, 1)
-    assert (q * z) ** 2 == q_power(2, 1) * z_power(0, 2, 1)
+    assert z ** 3 == PhaseScalar.monomial(1, 0, (3,), 1)
+    assert (q * z) ** 2 == q_power(2, 1) * PhaseScalar.monomial(1, 0, (2,), 1)
 
 
 def test_half_integer_exponents():
@@ -74,7 +73,7 @@ def test_single_monomial_denominator_folds():
 
 def test_rendering_matches_expected_strings():
     q = q_power(1, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     assert str((z ** -1 - z) / (q - q ** -1)) == "(z1^-1 - z1)/(q - q^-1)"
     assert str(q_power(Fraction(1, 2), 1)) == "q^(1/2)"
     assert str(PhaseScalar.from_rational(Fraction(-3, 2), 1) * z ** 2) == "-3/2·z1^2"
@@ -84,7 +83,7 @@ def test_rendering_matches_expected_strings():
 
 def test_rendering_term_order_is_deterministic():
     q = q_power(1, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     a = 1 + q * z + q ** -1
     b = q ** -1 + q * z + 1
     assert str(a) == str(b) == "1 + q^-1 + q·z1"
@@ -94,9 +93,9 @@ def test_arity_mismatch_raises():
     with pytest.raises(ArityMismatchError):
         q_power(1, 1) + q_power(1, 2)
     with pytest.raises(ArityMismatchError):
-        q_power(1, 1) * z_power(1, 1, 2)
+        q_power(1, 1) * PhaseScalar.monomial(1, 0, (0, 1), 2)
     with pytest.raises(ArityMismatchError):
-        z_power(3, 1, 2)
+        PhaseScalar.monomial(1, 0, (0, 0, 0, 1), 2)
 
 
 def test_arity_mismatch_raises_before_the_unit_and_zero_shortcuts():
@@ -119,7 +118,7 @@ def test_arity_mismatch_raises_before_the_unit_and_zero_shortcuts():
 
 def test_substitute_z_specializes():
     q = q_power(1, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     x = (1 - z ** 2) / (q - q ** -1)
     # z -> q^-2, i.e. alpha.lambda = 2
     y = x.substitute_z([-2])
@@ -128,7 +127,7 @@ def test_substitute_z_specializes():
 
 def test_substitute_z_detects_vanishing_denominator():
     q = q_power(1, 1)
-    z = z_power(0, 1, 1)
+    z = PhaseScalar.monomial(1, 0, (1,), 1)
     x = 1 / (1 - z * q)
     with pytest.raises(DenominatorVanishesError):
         x.substitute_z([-1])
@@ -515,7 +514,8 @@ def built_scalars(draw, arity):
     units = [PhaseScalar.from_rational(draw(coeffs), arity),
              q_power(draw(q_exps), arity)]
     if arity:
-        units.append(z_power(arity - 1, draw(small_ints), arity))
+        units.append(PhaseScalar.monomial(
+            1, 0, (0,) * (arity - 1) + (draw(small_ints),), arity))
     total = PhaseScalar.zero(arity)
     for t in terms:
         total = total + t
@@ -569,7 +569,7 @@ def test_fraction_keys_equal_int_keys():
 def test_substitution_folds_to_int_exponents():
     """A denominator that substitution leaves as one term is folded into
     the numerator; every q-exponent that the fold yields is an int."""
-    q, z = q_power(Fraction(1, 3), 1), z_power(0, 1, 1)
+    q, z = q_power(Fraction(1, 3), 1), PhaseScalar.monomial(1, 0, (1,), 1)
     special = (q / (q ** 4 * z ** -3 + q ** 10 * z ** -2)).substitute_z([-2])
     assert _exponents(special.num, special.step) == {(-7, (0,)): Fraction(1, 2)}
     assert [type(a) for a, _ in special.num] == [int]
@@ -642,18 +642,6 @@ def test_pmul_drops_the_terms_that_cancel():
         assert _pmul(a, b) == _pmul(b, a) == product
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2).flatmap(scalars), st.sampled_from([1, -1]), q_exps)
-def test_q_shift_stores_what_the_monomial_product_stores(a, sign, e):
-    shifted = a.q_shift(sign, e)
-    product = PhaseScalar.monomial(sign, e, (0,) * a.arity, a.arity) * a
-    assert shifted == product
-    if not (len(a.den) == 1 and a.num == a.den):  # `*` returns the monomial
-        assert (shifted.num, shifted.den, shifted.step) == \
-            (product.num, product.den, product.step)
-    _assert_canonical(shifted)
-
-
 def _snapshot(x):
     return (dict(x.num), dict(x.den), x.arity, x.step)
 
@@ -690,7 +678,6 @@ def test_no_operation_mutates_an_operand(case):
         if not x.is_zero():
             x.invert()
         x._at(2 * x.step)
-        x.q_shift(-1, Fraction(1, 3))
         x.reduce_exact()
         x.render(wrap=True)
         try:

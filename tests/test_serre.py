@@ -6,6 +6,8 @@ with sympy's own linear algebra, so none of the package's exact-arithmetic
 code is on that path.
 """
 
+import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
@@ -41,6 +43,27 @@ def test_enumerate_words_orders_lexicographically():
     assert enumerate_words((0, 2)) == [(1, 1)]
     assert enumerate_words((0, 0)) == [()]
     assert len(enumerate_words((2, 2))) == 6
+
+
+def test_enumerate_words_lists_the_sorted_distinct_permutations():
+    for rank in range(1, 5):
+        for multidegree in itertools.product(range(4), repeat=rank):
+            if sum(multidegree) > 7:
+                continue
+            letters = [j for j, d in enumerate(multidegree) for _ in range(d)]
+            assert enumerate_words(multidegree) == \
+                sorted(set(itertools.permutations(letters)))
+
+
+def test_a_one_column_scan_above_the_recursion_limit_runs():
+    """A word longer than the interpreter's recursion limit enumerates and
+    scans: no call stack grows with the degree."""
+    n = sys.getrecursionlimit() + 10
+    assert enumerate_words((n,)) == [(0,) * n]
+    words = enumerate_words((1, n))
+    assert len(words) == n + 1 and words[-1] == (1,) * n + (0,)
+    scan = singular_scan(CATALOG["sl2"], (n,))
+    assert scan.words == [(0,) * n] and scan.polys == []
 
 
 def test_enumerate_words_rejects_negative():

@@ -54,13 +54,13 @@ def test_every_exported_name_resolves_in_its_home_module(name):
 def test_exports_are_unchanged():
     assert qscreen.__all__ == [
         "ArityMismatchError", "DenominatorVanishesError", "PhaseScalar",
-        "q_number", "q_power", "z_power",
+        "q_number", "q_power",
         "CATALOG", "ConfigError", "RootDatum", "Weight", "datum_from_config",
         "datum_to_config", "load_datum", "resolve_algebra",
         "DepthExceededError", "FaultInjection", "ModuleContext",
         "apply_cartan", "apply_lowering", "apply_raising",
         "apply_raising_hat", "apply_word", "parse_word", "render_vector",
-        "state", "vacuum", "word_token",
+        "state", "word_token",
         "TensorContext", "VerificationReport", "act_tensor_element",
         "act_word_pair", "antipode_word", "braid_phase", "coproduct_letter",
         "coproduct_word", "counit_word", "run_suite", "split_lowering",
