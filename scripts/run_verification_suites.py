@@ -8,6 +8,10 @@ no state, so it is rejected with `error:` and exit 2, as in the CLI.
 
 Usage:
     python3 scripts/run_verification_suites.py [--depth 4] [--tensor-depth 3]
+
+--depth sets the contour depth of the relation sweep; --tensor-depth sets
+the per-factor depth of the coproduct sweep and the depth of the Hopf-axiom
+sweep.
 """
 
 import sys
@@ -24,7 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument("--depth", type=int, default=4,
                         help="contour depth for the relation sweep")
     parser.add_argument("--tensor-depth", type=int, default=3,
-                        help="per-factor depth for the coproduct sweep")
+                        help="per-factor depth for the coproduct sweep, "
+                             "and the depth of the Hopf-axiom sweep")
     args = parser.parse_args(argv)
     for flag, depth in (("--depth", args.depth),
                         ("--tensor-depth", args.tensor_depth)):

@@ -34,18 +34,15 @@ further.  On (U1, U2) the element acts as
 
     sum_w2 sigma(w2, U1) (sum_w1 coeff w1 U1) (x) w2 U2,
 
-where the interchange sign sigma depends on (w2, U1) only.  So it groups
-the element by right word and reads the nonzero signed left sums of each
-left state, per (right word, left state), from a memo of the
-`TensorContext`; for a relation's coproduct most of these sums are zero,
-and a pair costs only the products of the nonzero ones with the right
-images.  That memo is keyed by the element's id and checked against its
-word pairs and the ids of its coefficients, which the memo holds: a
-freed id is never reused while its sums are stored, and an element with
-other or changed coefficients gets sums of its own.  `act_word_pair`,
-one word pair at a time, is the reference it is tested against.  The
-`TensorContext` keeps one pair of factor contexts and its left sums, so
-every memo lives and dies with it.
+where the interchange sign sigma depends on (w2, U1) only.  So the sweep
+prepares each element once as a `TensorAction`, grouped by right word,
+which keeps the nonzero signed left sums of each left state it meets;
+for a relation's coproduct most of these sums are zero, and a pair costs
+only the products of the nonzero ones with the right images.  The sweep
+builds one action per element and drops it when the element's sweep
+ends.  `act_word_pair`, one word pair at a time, is the reference it is
+tested against.  The `TensorContext` keeps one pair of factor contexts,
+so every image memo lives and dies with it.
 
 Algebra elements and tensor-module vectors are sparse dicts like module
 vectors, so the sums and scalings of `contour` serve them too.
@@ -197,12 +194,6 @@ class TensorContext:
     weight2: Weight = field(default_factory=Weight.generic)
     depth: int = 4
     faults: FaultInjection = NO_FAULTS
-    # id(te) -> (te's word pairs, the ids of its coefficients, te grouped
-    # by right word as {w2: [(w1, coeff), ...]}, which holds the
-    # coefficients so that no id is reused, and {left state: its nonzero
-    # signed left sums}); see `act_tensor_element`.
-    _left_sums: dict = field(default_factory=dict, init=False, compare=False,
-                             hash=False, repr=False)
 
     @property
     def arity(self) -> int:
@@ -249,52 +240,55 @@ def act_word_pair(tctx: TensorContext, w1: Word, w2: Word,
     return out
 
 
-def act_tensor_element(tctx: TensorContext, te: TensorElement,
-                       tv: TensorVector) -> TensorVector:
-    """Act by te, the sum of coeff * w1 (x) w2, as the sum over right words
-    w2 of sigma(w2, s1) (sum_w1 coeff w1 U_s1) (x) w2 U_s2 on each pair.
+class TensorAction:
+    """A tensor element prepared for a sweep: its (w1, coeff) pairs grouped
+    by right word w2, copied so that later edits to the element do not
+    reach the action, and the nonzero signed left sums of each left state,
+    filled on first read."""
 
-    The nonzero signed left sums of each left state s1 are read from the
-    memo of `tctx`; see the module docstring.
-    """
-    words, ids = tuple(te), tuple(map(id, te.values()))
-    entry = tctx._left_sums.get(id(te))
-    if entry is None or entry[0] != words or entry[1] != ids:
-        groups: dict[Word, list] = {}
+    def __init__(self, tctx: TensorContext, te: TensorElement):
+        self.tctx = tctx
+        self._groups: dict[Word, list[tuple[Word, PhaseScalar]]] = {}
         for (w1, w2), coeff in te.items():
-            groups.setdefault(w2, []).append((w1, coeff))
-        entry = tctx._left_sums[id(te)] = (words, ids, groups, {})
-    groups, by_state = entry[2], entry[3]
-    one = PhaseScalar.one(tctx.arity)
+            self._groups.setdefault(w2, []).append((w1, coeff))
+        self._by_state: dict[Seq, list[tuple[Word, Vector]]] = {}
+
+    def left_sums(self, s1: Seq) -> list[tuple[Word, Vector]]:
+        """(w2, sigma(w2, s1) sum_w1 coeff w1 U_s1) for each right word w2,
+        in order, where that sum is nonzero; built on the first read."""
+        lefts = self._by_state.get(s1)
+        if lefts is not None:
+            return lefts
+        tctx = self.tctx
+        datum = tctx.datum
+        odd_s1 = seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign
+        lefts = []
+        for w2, pairs in self._groups.items():
+            left: Vector = {}
+            for w1, coeff in pairs:
+                accumulate(left, word_image(tctx.left, w1, s1).items(), coeff)
+            if left:
+                if odd_s1 and word_parity(datum, w2):
+                    left = {t1: -x for t1, x in left.items()}
+                lefts.append((w2, left))
+        self._by_state[s1] = lefts
+        return lefts
+
+
+def act_tensor_element(action: TensorAction, tv: TensorVector) -> TensorVector:
+    """Act by the prepared element, the sum of coeff * w1 (x) w2, as the sum
+    over right words w2 of sigma(w2, s1) (sum_w1 coeff w1 U_s1) (x) w2 U_s2
+    on each pair; see the module docstring."""
+    right = action.tctx.right
+    one = PhaseScalar.one(action.tctx.arity)
     out: TensorVector = {}
     for (s1, s2), c in tv.items():
-        lefts = by_state.get(s1)
-        if lefts is None:
-            lefts = by_state[s1] = _signed_left_sums(tctx, groups, s1)
-        for w2, left in lefts:
-            v2 = word_image(tctx.right, w2, s2)
+        for w2, left in action.left_sums(s1):
+            v2 = word_image(right, w2, s2)
             # a sweep's pair coefficient is the shared unit: no product
             for t1, c1 in left.items():
                 accumulate(out, (((t1, t2), c2) for t2, c2 in v2.items()),
                            c1 if c is one else c * c1)
-    return out
-
-
-def _signed_left_sums(tctx: TensorContext, groups: dict[Word, list],
-                      s1: Seq) -> list[tuple[Word, Vector]]:
-    """(w2, sigma(w2, s1) sum_w1 coeff w1 U_s1) for each right word w2 of
-    `groups`, in order, where that sum is nonzero."""
-    datum = tctx.datum
-    odd_s1 = seq_parity(datum, s1) and not tctx.faults.drop_interchange_sign
-    out = []
-    for w2, pairs in groups.items():
-        left: Vector = {}
-        for w1, coeff in pairs:
-            accumulate(left, word_image(tctx.left, w1, s1).items(), coeff)
-        if left:
-            if odd_s1 and word_parity(datum, w2):
-                left = {t1: -x for t1, x in left.items()}
-            out.append((w2, left))
     return out
 
 
@@ -516,18 +510,18 @@ def verify_coproduct(datum: RootDatum, depth: int = 3,
              for s2 in basis_states(datum.rank, depth - 1)]
 
     for j in range(datum.rank):
-        te = coproduct_letter(("F", j), tctx.arity)
+        action = TensorAction(tctx, coproduct_letter(("F", j), tctx.arity))
         report.records.append(_sweep(
             f"D(F{j+1}) matches the contour-splitting rule",
-            ((basis, (act_tensor_element(tctx, te, tv),),
+            ((basis, (act_tensor_element(action, tv),),
               split_lowering(tctx, j, tv)) for basis, tv in pairs),
             render_tensor_vector))
 
     for name, rel in defining_relations(datum, tctx.arity):
-        te = coproduct_element(datum, rel, tctx.arity)
+        action = TensorAction(tctx, coproduct_element(datum, rel, tctx.arity))
         report.records.append(_sweep(
             f"D[{name}] acts as zero",
-            ((basis, (act_tensor_element(tctx, te, tv),), {})
+            ((basis, (act_tensor_element(action, tv),), {})
              for basis, tv in pairs),
             render_tensor_vector))
     return report

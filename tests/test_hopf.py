@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qscreen.contour import (FaultInjection, ModuleContext, apply_word,
                              parse_word, vec_add, vec_eq)
 from qscreen.hopf import (
+    TensorAction,
     TensorContext,
     act_algebra,
     act_tensor_element,
@@ -109,11 +110,11 @@ def test_split_lowering_matches_table_action():
     for name in ("sl2", "sl2_1"):
         tctx = TensorContext(datum=CATALOG[name], depth=3)
         j = tctx.datum.rank - 1
-        te = coproduct_letter(("F", j), tctx.arity)
+        action = TensorAction(tctx, coproduct_letter(("F", j), tctx.arity))
         for s1 in [(), (j,), (0, j)]:
             for s2 in [(), (j,)]:
                 tv = tensor_state(tctx, s1, s2)
-                assert vec_eq(act_tensor_element(tctx, te, tv),
+                assert vec_eq(act_tensor_element(action, tv),
                               split_lowering(tctx, j, tv))
 
 
@@ -307,8 +308,8 @@ def test_module_layer_stores_no_zero_and_vec_eq_matches_subtraction(case):
         apply_word(ctx, word, v),
         act_algebra(ctx, element, v),
         act_word_pair(tctx, w1, w2, tv),
-        act_tensor_element(tctx, coproduct_element(datum, tensor_element,
-                                                   tctx.arity), tv),
+        act_tensor_element(TensorAction(tctx, coproduct_element(
+            datum, tensor_element, tctx.arity)), tv),
         split_lowering(tctx, j, tv),
     ]
     for image in images:

@@ -1,14 +1,14 @@
 """The per-context memos: generator images in `contour.apply_letter`,
 removal factors in `contour.apply_raising_hat`, Cartan factors in
-`contour.apply_cartan`, factor images in `hopf.act_word_pair` and signed
-left sums in `hopf.act_tensor_element`.
+`contour.apply_cartan` and factor images in `hopf.act_word_pair`, and the
+signed left sums that a prepared `hopf.TensorAction` keeps.
 
 `apply_word`, `apply_raising_hat`, `apply_cartan`, `act_word_pair` and
 `act_tensor_element` must agree with uncached or fresh computation however
 the memo is warmed, must never hand out a memoized dict, and must stay
 scoped to one context, so that a clean sweep cannot leak images into a
-negative control.  A left sum must never be served for other coefficients
-than those it was built from.  The sweeps add stored images through
+negative control.  An action acts by the coefficients its element held
+when the action was built.  The sweeps add stored images through
 `accumulate` with a scale, which must add what the scaled terms add.
 """
 
@@ -43,6 +43,7 @@ from qscreen.contour import (
     word_parity,
 )
 from qscreen.hopf import (
+    TensorAction,
     TensorContext,
     act_tensor_element,
     act_word_pair,
@@ -491,55 +492,65 @@ def test_tensor_element_matches_its_word_pairs(case):
     tctx, te, tv = case
     before_te, before_tv = dict(te), dict(tv)
     expected = by_word_pairs(tctx, te, tv)
-    first = act_tensor_element(tctx, te, tv)
-    second = act_tensor_element(tctx, te, tv)  # every left sum is a hit
+    action = TensorAction(tctx, te)
+    first = act_tensor_element(action, tv)
+    cached = dict(action._by_state)
+    assert set(cached) == {s1 for s1, _ in tv}
+    second = act_tensor_element(action, tv)  # reads only cached left sums
+    assert all(action._by_state[s1] is lefts for s1, lefts in cached.items())
+    assert len(action._by_state) == len(cached)
     assert vec_eq(first, expected)
     assert vec_eq(second, expected)
     assert (te, tv) == (before_te, before_tv)
 
 
 def test_left_sums_follow_the_coefficients():
+    """An action acts by the coefficients its element held when the action
+    was built, on left states read before and after the element is edited;
+    an action built after an edit acts by the new coefficients."""
     tctx = TensorContext(datum=CATALOG["sl2_1"], depth=4)
     arity = tctx.arity
     e1f2, f1, k2 = parse_word("E1 F2"), parse_word("F1"), parse_word("K2")
     tv = vec_add(tensor_state(tctx, (1, 0), (1,)),
                  vec_scale(q_power(2, arity), tensor_state(tctx, (0,), ())))
 
-    def check(te):
-        got = act_tensor_element(tctx, te, tv)
+    def check(action, te, tv=tv):
+        got = act_tensor_element(action, tv)
         assert vec_eq(got, by_word_pairs(tctx, te, tv))
         assert render_tensor_vector(got) == render_tensor_vector(
-            act_tensor_element(TensorContext(datum=tctx.datum, depth=4), te, tv))
+            act_tensor_element(TensorAction(
+                TensorContext(datum=tctx.datum, depth=4), te), tv))
         return got
 
-    # the same words under other coefficients
-    first = check({(e1f2, k2): q_power(1, arity), (f1, k2): q_power(-1, arity)})
-    assert not vec_eq(check({(e1f2, k2): q_power(1, arity),
-                             (f1, k2): q_power(1, arity)}), first)
-    # each coefficient dropped after its call: CPython hands a freed
-    # coefficient's id to the next one, which the memo must not mistake
-    # for the old coefficient
-    k1 = parse_word("K1")
-    for n in range(20):
-        coeff = PhaseScalar.from_rational(n + 2, arity)
-        expected = {key: coeff * c
-                    for key, c in act_word_pair(tctx, k1, k2, tv).items()}
-        assert vec_eq(act_tensor_element(tctx, {(k1, k2): coeff}, tv),
-                      expected)
-        del coeff, expected
-    # one element mutated between calls
     te = {(e1f2, k2): q_power(1, arity), (f1, k2): q_power(-1, arity)}
-    check(te)
-    te[(f1, k2)] = -q_power(-1, arity)
-    assert not vec_eq(check(te), first)
-    te[((), k2)] = PhaseScalar.one(arity)
-    check(te)
-    del te[(e1f2, k2)]
-    check(te)
-    # the same coefficient objects, in the same order, under other words
-    te[(f1, ())] = te.pop((f1, k2))
-    te[((), ())] = te.pop(((), k2))
-    check(te)
+    built = dict(te)
+    old = TensorAction(tctx, te)
+    first = check(old, built)
+
+    def other_coefficient(te):
+        te[(f1, k2)] = -q_power(-1, arity)
+
+    def new_entry(te):
+        te[((), k2)] = PhaseScalar.one(arity)
+
+    def deleted_entry(te):
+        del te[(e1f2, k2)]
+
+    def other_words(te):
+        # the same coefficient objects, in the same order
+        te[(f1, ())] = te.pop((f1, k2))
+        te[((), ())] = te.pop(((), k2))
+
+    # left states the old action first reads after each edit
+    unread = [(1,), (0, 1), (1, 1), ()]
+    for edit, s1 in zip((other_coefficient, new_entry, deleted_entry,
+                         other_words), unread):
+        edit(te)
+        assert not vec_eq(check(TensorAction(tctx, te), te), first)
+        assert vec_eq(check(old, built), first)
+        cold = tensor_state(tctx, s1, (1,))
+        assert s1 not in old._by_state
+        assert check(old, built, cold)
 
 
 # ---- sums with a scale ----
